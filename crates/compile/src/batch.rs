@@ -261,6 +261,18 @@ impl BatchCompiledProgram {
         Ok(check_equiv(&exec.ops, &[], &output, move |_| reference))
     }
 
+    /// Records one lane-batched execution and returns the raw
+    /// microprogram, unlinted — the batched counterpart of
+    /// [`crate::CompiledProgram::record`], for differential checks of the
+    /// hazard passes and miscompile-fixture construction.
+    ///
+    /// # Errors
+    ///
+    /// A binding-count mismatch, unbound inputs or crossbar faults.
+    pub fn record(&self, inputs: &[HashMap<String, u64>]) -> Result<OpTrace, CompileError> {
+        Ok(self.execute(inputs)?.ops)
+    }
+
     /// One recorded lane-batched execution: the shared body behind
     /// [`BatchCompiledProgram::run`] and
     /// [`BatchCompiledProgram::verify_equiv_lane`]. Mirrors the serial

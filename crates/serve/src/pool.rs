@@ -12,6 +12,8 @@ use crate::metrics::Metrics;
 use crate::queue::{Intake, Job};
 use crate::request::{JobKind, JobOutput, Request, Response, ServeError};
 use apim::{Apim, ApimConfig, ApimError, App, PrecisionMode};
+use apim_compile::BatchCompiledProgram;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,10 +54,11 @@ pub struct PoolConfig {
     /// Max queue slots one tenant may hold (`None` = no quota).
     pub per_tenant_quota: Option<usize>,
     /// Route same-`(app, mode)` [`JobKind::Pixel`] batches through the
-    /// lane-batched compiled-kernel path (one `compile_batched` pass
-    /// answers the whole batch, one pixel per bitline lane) whenever the
-    /// batch fits a word. Off forces the per-pixel serial path — the
-    /// differential oracle the integration tests compare against.
+    /// lane-batched compiled-kernel path (one pass of the worker's cached
+    /// `compile_batched` kernel answers the whole batch, one pixel per
+    /// bitline lane) whenever the batch fits a word. Off forces the
+    /// per-pixel serial path — the differential oracle the integration
+    /// tests compare against.
     pub lane_batch: bool,
     /// Device configuration for every worker's simulator shard.
     pub apim: ApimConfig,
@@ -355,13 +358,14 @@ impl Pool {
                 let apim = Apim::new(device.clone())?;
                 let slots = &slots;
                 joins.push(scope.spawn(move || {
+                    let mut kernels = KernelCache::default();
                     for batch_id in batch_ids {
                         let started = Instant::now();
                         let members = &batches[batch_id].1;
                         let mut memo = RunMemo::default();
                         let refs: Vec<&Request> = members.iter().map(|&i| &requests[i]).collect();
                         let mut pre = if shared.config.lane_batch {
-                            lane_batch_pixels(&refs)
+                            lane_batch_pixels(&mut kernels, &refs)
                         } else {
                             vec![None; members.len()]
                         };
@@ -459,6 +463,7 @@ fn worker_loop(shared: &Shared) {
     let Ok(apim) = Apim::new(shared.config.apim.clone()) else {
         return;
     };
+    let mut kernels = KernelCache::default();
     while let Some(batch) = shared.intake.pop_batch(shared.config.max_batch) {
         shared.metrics.workers_busy.inc();
         let started = Instant::now();
@@ -473,7 +478,7 @@ fn worker_loop(shared: &Shared) {
         }
         let members: Vec<&Request> = batch.iter().map(|job| &job.request).collect();
         let mut pre = if shared.config.lane_batch {
-            lane_batch_pixels(&members)
+            lane_batch_pixels(&mut kernels, &members)
         } else {
             vec![None; size]
         };
@@ -702,14 +707,41 @@ fn run_pixel_serial(app: App, taps: &[u64]) -> Result<JobOutput, ServeError> {
     })
 }
 
+/// One worker's lane-batched pixel kernels, keyed by `(app, lanes)`: each
+/// key runs [`apim_compile::compile_batched`] once per worker, every pass
+/// after that reuses the program (and still records and lints its own
+/// trace). Pixel kernels are exact in every mode, so the key carries no
+/// mode. At most 2 pixel apps × 64 lane counts; failed compiles are not
+/// cached. Each worker owns its cache, so it takes no lock.
+#[derive(Default)]
+struct KernelCache {
+    programs: HashMap<(App, usize), BatchCompiledProgram>,
+}
+
+impl KernelCache {
+    /// The `lanes`-lane kernel of `app`, compiled on first use; `None` for
+    /// apps without a pixel kernel or a failed compile.
+    fn get(&mut self, app: App, lanes: usize) -> Option<&BatchCompiledProgram> {
+        match self.programs.entry((app, lanes)) {
+            Entry::Occupied(entry) => Some(entry.into_mut()),
+            Entry::Vacant(entry) => {
+                let dag = kernel_dag(app)?;
+                let options = apim_compile::CompileOptions::default();
+                let program = apim_compile::compile_batched(&dag, &options, lanes).ok()?;
+                Some(entry.insert(program))
+            }
+        }
+    }
+}
+
 /// The lane-batched fast path over one coalesced batch: groups the batch's
 /// pixel jobs by `(app, mode)` and answers each group that fits a word
-/// (2..=64 pixels) with a single [`apim_compile::compile_batched`] pass —
-/// one pixel per bitline lane, so the whole group costs one serial pixel's
-/// cycles. Returns one pre-computed output slot per batch member; `None`
-/// slots (non-pixel jobs, singleton groups, any compile or run failure)
-/// fall back to the per-job serial path.
-fn lane_batch_pixels(requests: &[&Request]) -> Vec<Option<JobOutput>> {
+/// (2..=64 pixels) with a single lane-batched pass of the worker's cached
+/// kernel — one pixel per bitline lane, so the whole group costs one
+/// serial pixel's cycles. Returns one pre-computed output slot per batch
+/// member; `None` slots (non-pixel jobs, singleton groups, any compile or
+/// run failure) fall back to the per-job serial path.
+fn lane_batch_pixels(kernels: &mut KernelCache, requests: &[&Request]) -> Vec<Option<JobOutput>> {
     // Bitline lanes in one packed word — compile_batched's upper bound.
     const MAX_LANES: usize = 64;
     let mut out: Vec<Option<JobOutput>> = vec![None; requests.len()];
@@ -727,13 +759,13 @@ fn lane_batch_pixels(requests: &[&Request]) -> Vec<Option<JobOutput>> {
         if !(2..=MAX_LANES).contains(&members.len()) {
             continue;
         }
-        let Some(dag) = kernel_dag(app) else {
+        let Some(program) = kernels.get(app, members.len()) else {
             continue;
         };
         let Ok(bindings) = members
             .iter()
             .filter_map(|&i| match &requests[i].kind {
-                JobKind::Pixel { taps, .. } => Some(bind_taps(&dag, taps)),
+                JobKind::Pixel { taps, .. } => Some(bind_taps(program.dag(), taps)),
                 _ => None,
             })
             .collect::<Result<Vec<_>, _>>()
@@ -743,10 +775,6 @@ fn lane_batch_pixels(requests: &[&Request]) -> Vec<Option<JobOutput>> {
         if bindings.len() != members.len() {
             continue;
         }
-        let options = apim_compile::CompileOptions::default();
-        let Ok(program) = apim_compile::compile_batched(&dag, &options, members.len()) else {
-            continue;
-        };
         let Ok(report) = program.run(&bindings) else {
             continue;
         };
@@ -778,5 +806,41 @@ fn respond_prebatched(
         attempts: 1,
         latency,
         result: Ok(output),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kernel_cache_compiles_each_key_once() {
+        let mut kernels = KernelCache::default();
+        let first: *const BatchCompiledProgram = kernels.get(App::Sharpen, 8).unwrap();
+        let again: *const BatchCompiledProgram = kernels.get(App::Sharpen, 8).unwrap();
+        assert!(std::ptr::eq(first, again), "second lookup recompiled");
+        assert_eq!(kernels.programs.len(), 1);
+    }
+
+    #[test]
+    fn kernel_cache_keys_on_lane_count_and_app() {
+        let mut kernels = KernelCache::default();
+        assert_eq!(kernels.get(App::Sobel, 8).unwrap().lanes(), 8);
+        assert_eq!(kernels.get(App::Sobel, 64).unwrap().lanes(), 64);
+        assert!(kernels.get(App::Sharpen, 8).is_some());
+        assert_eq!(kernels.programs.len(), 3);
+    }
+
+    #[test]
+    fn kernel_cache_retries_failed_keys() {
+        let mut kernels = KernelCache::default();
+        // 65 lanes overflow a packed word; Fft has no pixel kernel.
+        for _ in 0..2 {
+            assert!(kernels.get(App::Sharpen, 65).is_none());
+            assert!(kernels.get(App::Fft, 8).is_none());
+            assert!(kernels.programs.is_empty(), "a failure was cached");
+        }
+        assert!(kernels.get(App::Sharpen, 64).is_some());
+        assert_eq!(kernels.programs.len(), 1);
     }
 }

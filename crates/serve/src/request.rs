@@ -48,10 +48,12 @@ pub enum JobKind {
     /// One pixel of a built-in image kernel (sharpen or one Sobel
     /// gradient), gate-executed through `apim-compile`. Taps are the
     /// kernel DAG's inputs in declaration order (sharpen: `c n w e s`;
-    /// Sobel: `l0 r0 l1 r1 l2 r2`). Same-`(app, mode)` pixel batches are
-    /// the lane-batched fast path: the pool runs a whole popped batch as
-    /// one `compile_batched` microprogram pass, one pixel per bitline
-    /// lane.
+    /// Sobel: `l0 r0 l1 r1 l2 r2`). Pixel kernels are exact in every
+    /// mode: their DAGs fix exact products, so the request's `mode` only
+    /// sets the batch key and never changes the answer. Same-`(app, mode)`
+    /// pixel batches are the lane-batched fast path: the pool runs a whole
+    /// popped batch as one microprogram pass of a `compile_batched` kernel
+    /// it compiled once, one pixel per bitline lane.
     Pixel {
         /// The kernel ([`App::Sharpen`] or [`App::Sobel`]).
         app: App,

@@ -480,3 +480,40 @@ fn submitted_pixel_batches_answer_every_lane() {
     }
     pool.shutdown();
 }
+
+/// Pixel kernels are exact in every mode: a relaxed pixel answers the
+/// exact value, lane-batched or serial.
+#[test]
+fn relaxed_pixels_answer_the_exact_value() {
+    use apim::PrecisionMode;
+    use apim_serve::JobOutput;
+
+    let exact = sharpen_pixels(8);
+    let relaxed: Vec<Request> = exact
+        .iter()
+        .map(|r| r.clone().mode(PrecisionMode::LastStage { relax_bits: 8 }))
+        .collect();
+    for lane_batch in [true, false] {
+        let pool = Pool::new(PoolConfig {
+            workers: 1,
+            lane_batch,
+            ..PoolConfig::default()
+        })
+        .expect("valid pool");
+        let requests: Vec<Request> = exact.iter().chain(&relaxed).cloned().collect();
+        let responses = pool.run_all(requests).expect("run_all");
+        let values: Vec<u64> = responses
+            .iter()
+            .map(|r| match &r.result {
+                Ok(JobOutput::Pixel { value, .. }) => *value,
+                other => panic!("pixel failed: {other:?}"),
+            })
+            .collect();
+        let (exact_values, relaxed_values) = values.split_at(8);
+        assert_eq!(exact_values, relaxed_values, "lane_batch {lane_batch}");
+        for (i, value) in exact_values.iter().enumerate() {
+            let i = i as u64;
+            assert_eq!(*value, 5 * (100 + i) - (3 + i + 5 + i + 7 + i + 11 + i));
+        }
+    }
+}

@@ -108,15 +108,20 @@ fn mask(width: u32) -> u64 {
     }
 }
 
-struct Recorded {
-    trace: OpTrace,
-    events: Vec<AllocEvent>,
-    expected_cycles: u64,
+/// One recorded kernel execution: the inputs [`verify_kernel`] lints.
+#[derive(Debug, Clone)]
+pub struct RecordedKernel {
+    /// The captured microprogram.
+    pub trace: OpTrace,
+    /// The traced scratch-allocator events.
+    pub events: Vec<AllocEvent>,
+    /// The cost model's cycle prediction for the kernel.
+    pub expected_cycles: u64,
 }
 
 /// The gate set: one of each elementary gate over a `width`-bit window.
 /// 1 + 1 + 2 + 3 + 4 + 4 + 5 = 20 NOR cycles.
-fn record_gates(width: u32) -> Result<Recorded> {
+fn record_gates(width: u32) -> Result<RecordedKernel> {
     let n = width as usize;
     let mut xbar = BlockedCrossbar::new(CrossbarConfig::default())?;
     let blk = xbar.block(0)?;
@@ -140,7 +145,7 @@ fn record_gates(width: u32) -> Result<Recorded> {
     let trace = xbar.stop_recording();
     alloc.free_many(work)?;
     alloc.free_many(operands)?;
-    Ok(Recorded {
+    Ok(RecordedKernel {
         trace,
         events: alloc.take_events(),
         expected_cycles: 20,
@@ -148,7 +153,7 @@ fn record_gates(width: u32) -> Result<Recorded> {
 }
 
 /// The serial ripple adder over `width` bits: `12N + 1` cycles.
-fn record_serial_adder(width: u32) -> Result<Recorded> {
+fn record_serial_adder(width: u32) -> Result<RecordedKernel> {
     let n = width as usize;
     let mut xbar = BlockedCrossbar::new(CrossbarConfig::default())?;
     let blk = xbar.block(1)?;
@@ -163,7 +168,7 @@ fn record_serial_adder(width: u32) -> Result<Recorded> {
     scratch.release(&mut alloc)?;
     alloc.free_many(rows)?;
     let model = CostModel::new(&DeviceParams::default());
-    Ok(Recorded {
+    Ok(RecordedKernel {
         trace,
         events: alloc.take_events(),
         expected_cycles: model.serial_add(width).cycles.get(),
@@ -171,7 +176,7 @@ fn record_serial_adder(width: u32) -> Result<Recorded> {
 }
 
 /// One carry-save 3:2 group: 13 cycles at any width.
-fn record_csa_group(width: u32) -> Result<Recorded> {
+fn record_csa_group(width: u32) -> Result<RecordedKernel> {
     let n = width as usize;
     let mut xbar = BlockedCrossbar::new(CrossbarConfig::default())?;
     let src = xbar.block(1)?;
@@ -201,7 +206,7 @@ fn record_csa_group(width: u32) -> Result<Recorded> {
     let trace = xbar.stop_recording();
     alloc.free_many(scratch_rows)?;
     alloc.free_many(operands)?;
-    Ok(Recorded {
+    Ok(RecordedKernel {
         trace,
         events: alloc.take_events(),
         expected_cycles: 13,
@@ -209,7 +214,7 @@ fn record_csa_group(width: u32) -> Result<Recorded> {
 }
 
 /// Wallace 9:2 reduction: `13 · stages(9)` cycles.
-fn record_wallace(width: u32) -> Result<Recorded> {
+fn record_wallace(width: u32) -> Result<RecordedKernel> {
     const COUNT: usize = 9;
     let n = width as usize;
     let mut xbar = BlockedCrossbar::new(CrossbarConfig::default())?;
@@ -227,7 +232,7 @@ fn record_wallace(width: u32) -> Result<Recorded> {
     reduce_rows_to_two(&mut xbar, src, dst, COUNT, 0..n)?;
     let trace = xbar.stop_recording();
     alloc.free_many(region)?;
-    Ok(Recorded {
+    Ok(RecordedKernel {
         trace,
         events: alloc.take_events(),
         expected_cycles: 13 * u64::from(CostModel::stages(COUNT as u32)),
@@ -235,7 +240,7 @@ fn record_wallace(width: u32) -> Result<Recorded> {
 }
 
 /// The full exact multiplier; prediction from [`CostModel::multiply`].
-fn record_multiplier(width: u32) -> Result<Recorded> {
+fn record_multiplier(width: u32) -> Result<RecordedKernel> {
     let a = 0x9E37_79B9 & mask(width);
     let b = 0x6A09_E667 & mask(width);
     let mut mul = CrossbarMultiplier::new(width, &DeviceParams::default())?;
@@ -243,7 +248,7 @@ fn record_multiplier(width: u32) -> Result<Recorded> {
     mul.multiply(a, b, PrecisionMode::Exact)?;
     let trace = mul.crossbar_mut().stop_recording();
     let model = CostModel::new(&DeviceParams::default());
-    Ok(Recorded {
+    Ok(RecordedKernel {
         trace,
         events: Vec::new(),
         expected_cycles: model.multiply(width, b, PrecisionMode::Exact).cycles.get(),
@@ -252,7 +257,7 @@ fn record_multiplier(width: u32) -> Result<Recorded> {
 
 /// The fused MAC over three terms; prediction from
 /// [`CostModel::mac_group_value`].
-fn record_mac(width: u32) -> Result<Recorded> {
+fn record_mac(width: u32) -> Result<RecordedKernel> {
     let m = mask(width);
     let terms = [
         (0x0000_0C3Au64 & m, 0x0000_0055u64 & m),
@@ -265,7 +270,7 @@ fn record_mac(width: u32) -> Result<Recorded> {
     let trace = mac.crossbar_mut().stop_recording();
     let model = CostModel::new(&DeviceParams::default());
     let multipliers: Vec<u64> = terms.iter().map(|&(_, b)| b).collect();
-    Ok(Recorded {
+    Ok(RecordedKernel {
         trace,
         events: Vec::new(),
         expected_cycles: model
@@ -275,6 +280,23 @@ fn record_mac(width: u32) -> Result<Recorded> {
     })
 }
 
+/// Records `kernel` at `width` without linting it — the raw material for
+/// differential checks of the passes themselves.
+///
+/// # Errors
+///
+/// Propagates crossbar errors from running the kernel.
+pub fn record_kernel(kernel: Kernel, width: u32) -> Result<RecordedKernel> {
+    match kernel {
+        Kernel::Gates => record_gates(width),
+        Kernel::SerialAdder => record_serial_adder(width),
+        Kernel::CsaGroup => record_csa_group(width),
+        Kernel::WallaceTree => record_wallace(width),
+        Kernel::Multiplier => record_multiplier(width),
+        Kernel::Mac => record_mac(width),
+    }
+}
+
 /// Records `kernel` at `width` and lints the captured microprogram.
 ///
 /// # Errors
@@ -282,14 +304,7 @@ fn record_mac(width: u32) -> Result<Recorded> {
 /// Propagates crossbar errors from *running* the kernel (the lint findings
 /// themselves are data, not errors — see [`KernelRun::report`]).
 pub fn verify_kernel(kernel: Kernel, width: u32) -> Result<KernelRun> {
-    let recorded = match kernel {
-        Kernel::Gates => record_gates(width)?,
-        Kernel::SerialAdder => record_serial_adder(width)?,
-        Kernel::CsaGroup => record_csa_group(width)?,
-        Kernel::WallaceTree => record_wallace(width)?,
-        Kernel::Multiplier => record_multiplier(width)?,
-        Kernel::Mac => record_mac(width)?,
-    };
+    let recorded = record_kernel(kernel, width)?;
     let report = verify_trace(
         &recorded.trace,
         &recorded.events,

@@ -63,7 +63,10 @@ pub use equiv::{
 pub use equiv_kernels::{
     render_equiv, verify_equiv_all, verify_equiv_kernel, EquivKernelRun, EquivTarget,
 };
-pub use kernels::{render, verify_all, verify_kernel, Kernel, KernelRun, DEFAULT_WIDTHS};
+pub use kernels::{
+    record_kernel, render, verify_all, verify_kernel, Kernel, KernelRun, RecordedKernel,
+    DEFAULT_WIDTHS,
+};
 pub use passes::{
     pass_aliasing, pass_cycle_accounting, pass_init_discipline, pass_scratch_lifetime,
     pass_shift_bounds, verify_trace,

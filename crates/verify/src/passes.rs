@@ -8,6 +8,7 @@
 //! `strict_init` check only catches when the stale bit is OFF).
 
 use std::collections::{BTreeSet, HashSet};
+use std::ops::Range;
 
 use apim_crossbar::{AllocEvent, OpTrace, TraceOp};
 
@@ -33,31 +34,144 @@ pub fn verify_trace(
     LintReport::from_findings(findings)
 }
 
-/// The cells a NOR evaluation writes, as `(block, row, col)` triples.
-/// Columns the shift pushes below zero are skipped here — the shift-bounds
-/// pass owns that diagnosis.
-fn nor_outputs(op: &TraceOp) -> Vec<(usize, usize, usize)> {
+/// One bit per cell over the bounding box of the cells a trace touches:
+/// set = armed (initialized since its last write). Each `(block, row)`
+/// starts on a word boundary, so a column span within one row is a run of
+/// whole-word mask operations.
+struct CellBits {
+    rows: usize,
+    row_bits: usize,
+    words: Vec<u64>,
+}
+
+impl CellBits {
+    /// Sizes the table from one pre-scan of the largest block, row and
+    /// column any op of `trace` touches. Cells outside the recorded
+    /// geometry get bits like any other, as they did in a set of cells.
+    fn for_trace(trace: &OpTrace) -> Self {
+        let (mut blocks, mut rows, mut cols) = (0, 0, 0);
+        for (block, row, col) in trace.ops.iter().filter_map(max_cell) {
+            blocks = blocks.max(block + 1);
+            rows = rows.max(row + 1);
+            cols = cols.max(col + 1);
+        }
+        let row_bits = cols.div_ceil(64) * 64;
+        CellBits {
+            rows,
+            row_bits,
+            words: vec![0; blocks * rows * row_bits / 64],
+        }
+    }
+
+    /// Bit index of column 0 of `(block, row)` and the bit range of
+    /// columns `cols` there; an empty or reversed `cols` covers nothing
+    /// (its row may lie outside the table).
+    fn span(&self, block: usize, row: usize, cols: Range<usize>) -> (usize, Range<usize>) {
+        if cols.is_empty() {
+            return (0, 0..0);
+        }
+        let base = (block * self.rows + row) * self.row_bits;
+        (base, base + cols.start..base + cols.end)
+    }
+
+    /// Arms columns `cols` of `(block, row)`.
+    fn arm(&mut self, block: usize, row: usize, cols: Range<usize>) {
+        for_words(self.span(block, row, cols).1, |w, mask| {
+            self.words[w] |= mask;
+        });
+    }
+
+    /// Disarms columns `cols` of `(block, row)`.
+    fn disarm(&mut self, block: usize, row: usize, cols: Range<usize>) {
+        for_words(self.span(block, row, cols).1, |w, mask| {
+            self.words[w] &= !mask;
+        });
+    }
+
+    /// A NOR evaluating into columns `cols` of `(block, row)`: counts the
+    /// unarmed cells, returns the count and the lowest such column, and
+    /// consumes the initialization of the whole span.
+    fn evaluate(&mut self, block: usize, row: usize, cols: Range<usize>) -> (usize, Option<usize>) {
+        let (base, bits) = self.span(block, row, cols);
+        let (mut stale, mut first) = (0, None);
+        for_words(bits, |w, mask| {
+            let missing = !self.words[w] & mask;
+            if missing != 0 {
+                stale += missing.count_ones() as usize;
+                first.get_or_insert(w * 64 + missing.trailing_zeros() as usize - base);
+            }
+            self.words[w] &= !mask;
+        });
+        (stale, first)
+    }
+}
+
+/// Calls `f(word, mask)` for every word the bit range `bits` covers,
+/// `mask` selecting the range's bits in that word.
+fn for_words(bits: Range<usize>, mut f: impl FnMut(usize, u64)) {
+    let (mut i, end) = (bits.start, bits.end);
+    while i < end {
+        let offset = i % 64;
+        let n = (64 - offset).min(end - i);
+        f(i / 64, (u64::MAX >> (64 - n)) << offset);
+        i += n;
+    }
+}
+
+/// The output columns of a shifted NOR: `cols + shift`, less the columns
+/// the shift pushes below zero (the shift-bounds pass owns that
+/// diagnosis).
+fn shifted_span(cols: &Range<usize>, shift: isize) -> Range<usize> {
+    let end = (cols.end as isize + shift).max(0) as usize;
+    let start = (cols.start as isize + shift).max(0) as usize;
+    start..end
+}
+
+/// The largest `(block, row, col)` along each axis among the cells `op`
+/// arms, disarms or evaluates into; `None` when it touches none.
+fn max_cell(op: &TraceOp) -> Option<(usize, usize, usize)> {
+    let span_end = |cols: &Range<usize>| (cols.start < cols.end).then(|| cols.end - 1);
     match op {
+        TraceOp::InitRows { block, rows, cols } => {
+            Some((*block, *rows.iter().max()?, span_end(cols)?))
+        }
+        TraceOp::InitCells { block, cells } => Some((
+            *block,
+            cells.iter().map(|c| c.0).max()?,
+            cells.iter().map(|c| c.1).max()?,
+        )),
+        TraceOp::InitCols { block, cols, rows } => {
+            Some((*block, span_end(rows)?, *cols.iter().max()?))
+        }
+        TraceOp::PreloadBit {
+            block, row, col, ..
+        }
+        | TraceOp::WriteBackBit {
+            block, row, col, ..
+        } => Some((*block, *row, *col)),
+        TraceOp::PreloadWord {
+            block,
+            row,
+            col0,
+            bits,
+        } => Some((*block, *row, span_end(&(*col0..col0 + bits.len()))?)),
         TraceOp::NorRowsShifted {
             out, cols, shift, ..
-        } => cols
-            .clone()
-            .filter_map(|c| {
-                let target = c as isize + shift;
-                (target >= 0).then_some((out.0, out.1, target as usize))
-            })
-            .collect(),
+        } => Some((out.0, out.1, span_end(&shifted_span(cols, *shift))?)),
         TraceOp::NorCols {
             block,
             out_col,
             rows,
             ..
-        } => rows.clone().map(|r| (*block, r, *out_col)).collect(),
-        TraceOp::NorCells { block, out, .. } => vec![(*block, out.0, out.1)],
+        } => Some((*block, span_end(rows)?, *out_col)),
+        TraceOp::NorCells { block, out, .. } => Some((*block, out.0, out.1)),
         TraceOp::NorLanes {
             block, out, lanes, ..
-        } => (0..*lanes).map(|j| (*block, out.0, out.1 + j)).collect(),
-        _ => Vec::new(),
+        } => Some((*block, out.0, span_end(&(out.1..out.1 + lanes))?)),
+        TraceOp::ReadBit { .. }
+        | TraceOp::MajRead { .. }
+        | TraceOp::AdvanceCycles { .. }
+        | TraceOp::RewindCycles { .. } => None,
     }
 }
 
@@ -68,34 +182,44 @@ fn nor_outputs(op: &TraceOp) -> Vec<(usize, usize, usize)> {
 /// the evaluation. This pass tracks, per cell, whether the most recent
 /// touch was an initialization; a NOR whose destination is not in that
 /// state is an error regardless of the data values involved.
+///
+/// The armed cells live in a dense bitset ([`CellBits`]) sized by one
+/// pre-scan of the trace; row spans are armed, disarmed and tested a word
+/// at a time, and no op allocates.
 pub fn pass_init_discipline(trace: &OpTrace) -> Vec<Finding> {
-    let mut armed: HashSet<(usize, usize, usize)> = HashSet::new();
+    let mut armed = CellBits::for_trace(trace);
     let mut findings = Vec::new();
     for (i, op) in trace.ops.iter().enumerate() {
-        match op {
+        // `(block, stale count, first stale (row, col))` of a NOR.
+        let evaluated = match op {
             TraceOp::InitRows { block, rows, cols } => {
                 for &r in rows {
-                    for c in cols.clone() {
-                        armed.insert((*block, r, c));
-                    }
+                    armed.arm(*block, r, cols.clone());
                 }
+                continue;
             }
             TraceOp::InitCells { block, cells } => {
                 for &(r, c) in cells {
-                    armed.insert((*block, r, c));
+                    armed.arm(*block, r, c..c + 1);
                 }
+                continue;
             }
             TraceOp::InitCols { block, cols, rows } => {
                 for &c in cols {
                     for r in rows.clone() {
-                        armed.insert((*block, r, c));
+                        armed.arm(*block, r, c..c + 1);
                     }
                 }
+                continue;
             }
             TraceOp::PreloadBit {
                 block, row, col, ..
+            }
+            | TraceOp::WriteBackBit {
+                block, row, col, ..
             } => {
-                armed.remove(&(*block, *row, *col));
+                armed.disarm(*block, *row, *col..col + 1);
+                continue;
             }
             TraceOp::PreloadWord {
                 block,
@@ -103,42 +227,56 @@ pub fn pass_init_discipline(trace: &OpTrace) -> Vec<Finding> {
                 col0,
                 bits,
             } => {
-                for c in *col0..col0 + bits.len() {
-                    armed.remove(&(*block, *row, c));
-                }
+                armed.disarm(*block, *row, *col0..col0 + bits.len());
+                continue;
             }
-            TraceOp::WriteBackBit {
-                block, row, col, ..
+            TraceOp::NorRowsShifted {
+                out, cols, shift, ..
             } => {
-                armed.remove(&(*block, *row, *col));
+                let (stale, first) = armed.evaluate(out.0, out.1, shifted_span(cols, *shift));
+                (out.0, stale, first.map(|c| (out.1, c)))
             }
-            TraceOp::NorRowsShifted { .. }
-            | TraceOp::NorCols { .. }
-            | TraceOp::NorCells { .. }
-            | TraceOp::NorLanes { .. } => {
-                let outputs = nor_outputs(op);
-                let stale: Vec<_> = outputs.iter().filter(|c| !armed.contains(c)).collect();
-                if let Some(&&(b, r, c)) = stale.first() {
-                    findings.push(Finding {
-                        pass: Pass::InitDiscipline,
-                        severity: Severity::Error,
-                        op_index: Some(i),
-                        message: format!(
-                            "NOR evaluates into {} uninitialized cell(s), first at \
-                             (block {b}, row {r}, col {c})",
-                            stale.len()
-                        ),
-                    });
+            TraceOp::NorCols {
+                block,
+                out_col,
+                rows,
+                ..
+            } => {
+                // One cell per row, in row order: the first stale row wins.
+                let (mut stale, mut first) = (0, None);
+                for r in rows.clone() {
+                    if armed.evaluate(*block, r, *out_col..out_col + 1).0 == 1 {
+                        stale += 1;
+                        first.get_or_insert((r, *out_col));
+                    }
                 }
-                // Evaluation consumes the initialization.
-                for cell in outputs {
-                    armed.remove(&cell);
-                }
+                (*block, stale, first)
+            }
+            TraceOp::NorCells { block, out, .. } => {
+                let (stale, _) = armed.evaluate(*block, out.0, out.1..out.1 + 1);
+                (*block, stale, (stale == 1).then_some(*out))
+            }
+            TraceOp::NorLanes {
+                block, out, lanes, ..
+            } => {
+                let (stale, first) = armed.evaluate(*block, out.0, out.1..out.1 + lanes);
+                (*block, stale, first.map(|c| (out.0, c)))
             }
             TraceOp::ReadBit { .. }
             | TraceOp::MajRead { .. }
             | TraceOp::AdvanceCycles { .. }
-            | TraceOp::RewindCycles { .. } => {}
+            | TraceOp::RewindCycles { .. } => continue,
+        };
+        if let (b, stale, Some((r, c))) = evaluated {
+            findings.push(Finding {
+                pass: Pass::InitDiscipline,
+                severity: Severity::Error,
+                op_index: Some(i),
+                message: format!(
+                    "NOR evaluates into {stale} uninitialized cell(s), first at \
+                     (block {b}, row {r}, col {c})"
+                ),
+            });
         }
     }
     findings
