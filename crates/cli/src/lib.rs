@@ -86,7 +86,7 @@ pub enum Command {
         /// kernel's analytic baseline (builtins only).
         compare: bool,
         /// Lane-batched instances per microprogram pass (`--batch N`,
-        /// 1..=64). `1` runs the serial backend.
+        /// 1..=64). `1` runs the serial program.
         batch: usize,
     },
     /// Compile one transcendental microkernel (sin/cos/√) to a verified

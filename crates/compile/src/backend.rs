@@ -1,15 +1,30 @@
-//! Gate-level backend: executes a compiled DAG on simulated cells and
-//! verifies the captured microprogram.
+//! Gate-level backend: executes a compiled DAG on simulated cells, for
+//! one input binding or for up to 64 at once, and verifies the captured
+//! microprogram.
 //!
-//! The backend realizes each DAG node with the same primitive sequences
-//! the hand-written kernels use (`add_words`, `sub_words`,
-//! `reduce_rows_to_two_at`, the MAC's shared-NOT partial-product
-//! generator), placed per the [`Placement`]'s row map. Every execution
-//! runs with operation recording armed and finishes by replaying the
-//! trace through all five `apim-verify` hazard passes — including
-//! cycle-accounting against the closed-form cost this module accumulates
-//! node by node. A finding of error severity aborts the run with
-//! [`CompileError::VerificationFailed`].
+//! One machine serves every lane count. Every value row uses the
+//! interleaved lane layout of [`apim_logic::lanes`]: logical column `c`
+//! of lane `j` sits at bitline `c · lanes + j`, so at one lane it is the
+//! plain word layout and the machine runs the serial program. Each DAG
+//! node is realized with the primitive sequences the hand-written kernels
+//! use (`add_words`/`add_lanes`, `sub_words`/`sub_lanes`, the Wallace
+//! reduction, the MAC's shared-NOT partial-product generator), placed per
+//! the [`Placement`]'s row map. Column-parallel MAGIC NOR costs one cycle
+//! however wide its span, so `L` lanes cost what one does.
+//!
+//! **Data steers control only at one lane.** The serial program reads the
+//! multiplier through the sense amplifiers to place partial products,
+//! reads the Shr sign bit and writes it back, and reads carries through a
+//! MAJ sense amp in the relaxed §3.4 final add. At two or more lanes those
+//! reads would be per-lane control, so [`crate::compile_batched`] admits
+//! only programs that never need them (constant multipliers, exact final
+//! products) and the Shr sign fill stays in-array.
+//!
+//! Every execution runs with operation recording armed and finishes by
+//! replaying the trace through all five `apim-verify` hazard passes —
+//! including cycle-accounting against the closed-form cost this module
+//! accumulates node by node. A finding of error severity aborts the run
+//! with [`CompileError::VerificationFailed`].
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -21,11 +36,13 @@ use apim_crossbar::{
 use apim_device::Joules;
 use apim_logic::adder_serial::{add_words, add_words_with_carry, SerialScratch};
 use apim_logic::functional::partial_product_shifts;
+use apim_logic::lanes::{add_lanes, preload_lanes, read_lanes, sub_lanes};
 use apim_logic::subtractor::sub_words;
-use apim_logic::wallace::reduce_rows_to_two_at;
+use apim_logic::wallace::reduce_rows_to_two_lanes;
 use apim_logic::{CostModel, PrecisionMode};
 use apim_verify::{check_equiv, verify_trace, EquivReport, LintReport, OutputBinding};
 
+use crate::batch::validate_for_batch;
 use crate::eval::evaluate_all;
 use crate::expand::expand_math;
 use crate::ir::{Dag, Node, NodeId};
@@ -56,13 +73,7 @@ impl Default for CompileOptions {
 
 /// A DAG compiled against a concrete crossbar geometry.
 #[derive(Debug, Clone)]
-pub struct CompiledProgram {
-    dag: Dag,
-    placement: Placement,
-    schedule: BlockSchedule,
-    trace: Trace,
-    model: CostModel,
-}
+pub struct CompiledProgram(Core);
 
 /// Outcome of one gate-level execution of a compiled program.
 #[derive(Debug, Clone)]
@@ -93,48 +104,33 @@ pub struct RunReport {
 /// [`CompileError::NoRoot`] without a designated output,
 /// [`CompileError::AreaExceeded`] when the program does not fit.
 pub fn compile(dag: &Dag, options: &CompileOptions) -> Result<CompiledProgram, CompileError> {
-    dag.root().ok_or(CompileError::NoRoot)?;
-    let mut dag = expand_math(dag);
-    if options.strength_reduce {
-        dag.strength_reduce_negated_constants();
-    }
-    let placement = place(&dag, &options.config)?;
-    let model = CostModel::new(&options.config.params);
-    let schedule = schedule(&dag, &placement, &model);
-    let trace = lower(&dag);
-    Ok(CompiledProgram {
-        dag,
-        placement,
-        schedule,
-        trace,
-        model,
-    })
+    Core::compile(dag, options, 1).map(CompiledProgram)
 }
 
 impl CompiledProgram {
     /// The (possibly strength-reduced) DAG this program executes.
     pub fn dag(&self) -> &Dag {
-        &self.dag
+        &self.0.dag
     }
 
     /// The row placement.
     pub fn placement(&self) -> &Placement {
-        &self.placement
+        &self.0.placement
     }
 
     /// The block-pair list schedule.
     pub fn schedule(&self) -> &BlockSchedule {
-        &self.schedule
+        &self.0.schedule
     }
 
     /// The lowered controller macro-op trace.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.0.trace
     }
 
     /// The analytic cost model used for cycle bookkeeping.
     pub fn model(&self) -> &CostModel {
-        &self.model
+        &self.0.model
     }
 
     /// Executes the program on simulated cells with the given input
@@ -146,14 +142,10 @@ impl CompiledProgram {
     /// [`CompileError::VerificationFailed`] — an error-severity hazard
     /// finding (a compiler bug by definition).
     pub fn run(&self, inputs: &HashMap<String, u64>) -> Result<RunReport, CompileError> {
-        let exec = self.execute(inputs)?;
-        let lint = verify_trace(&exec.ops, &exec.events, Some(exec.expected_cycles));
-        if lint.error_count() > 0 {
-            return Err(CompileError::VerificationFailed(lint.to_string()));
-        }
+        let (exec, lint) = self.0.run(std::slice::from_ref(inputs))?;
         Ok(RunReport {
-            value: exec.value,
-            reference: exec.reference,
+            value: exec.values[0],
+            reference: exec.references[0],
             cycles: exec.cycles,
             expected_cycles: exec.expected_cycles,
             energy: exec.energy,
@@ -177,16 +169,7 @@ impl CompiledProgram {
     /// Unbound inputs or crossbar faults; checker verdicts (including
     /// non-equivalence) land in the returned report.
     pub fn verify_equiv(&self, inputs: &HashMap<String, u64>) -> Result<EquivReport, CompileError> {
-        let exec = self.execute(inputs)?;
-        let output = OutputBinding {
-            block: exec.root_block,
-            row: exec.root_row,
-            col0: 0,
-            width: self.dag.width() as usize,
-            col_step: 1,
-        };
-        let reference = exec.reference;
-        Ok(check_equiv(&exec.ops, &[], &output, move |_| reference))
+        self.0.verify_equiv(std::slice::from_ref(inputs), 0)
     }
 
     /// Records one gate-level execution and returns the raw microprogram,
@@ -201,21 +184,142 @@ impl CompiledProgram {
         &self,
         inputs: &HashMap<String, u64>,
     ) -> Result<(OpTrace, OutputBinding, u64), CompileError> {
-        let exec = self.execute(inputs)?;
-        let output = OutputBinding {
-            block: exec.root_block,
-            row: exec.root_row,
-            col0: 0,
-            width: self.dag.width() as usize,
-            col_step: 1,
-        };
-        Ok((exec.ops, output, exec.reference))
+        let exec = self.0.execute(std::slice::from_ref(inputs))?;
+        let output = self.0.output(&exec, 0);
+        Ok((exec.ops, output, exec.references[0]))
+    }
+}
+
+/// The compiled program behind both public views: [`CompiledProgram`] is
+/// the one-lane core, [`crate::BatchCompiledProgram`] a core of any lane
+/// count.
+#[derive(Debug, Clone)]
+pub(crate) struct Core {
+    pub(crate) dag: Dag,
+    pub(crate) placement: Placement,
+    pub(crate) schedule: BlockSchedule,
+    pub(crate) trace: Trace,
+    pub(crate) model: CostModel,
+    pub(crate) lanes: usize,
+}
+
+/// Raw outcome of one recorded gate-level execution, before any
+/// verification pass has judged it. `values` and `references` hold one
+/// entry per lane.
+pub(crate) struct Execution {
+    pub(crate) ops: OpTrace,
+    events: Vec<AllocEvent>,
+    pub(crate) expected_cycles: u64,
+    pub(crate) values: Vec<u64>,
+    pub(crate) references: Vec<u64>,
+    pub(crate) cycles: u64,
+    pub(crate) energy: Joules,
+    root_block: usize,
+    root_row: usize,
+}
+
+impl Core {
+    /// The one compile pipeline: math expansion → strength reduction →
+    /// batch legality (two or more lanes) → placement → scheduling →
+    /// lowering. Two or more lanes widen the geometry to
+    /// `(width + 2) · lanes` bitlines when the configured crossbar is
+    /// narrower; one lane compiles against it as given.
+    pub(crate) fn compile(
+        dag: &Dag,
+        options: &CompileOptions,
+        lanes: usize,
+    ) -> Result<Core, CompileError> {
+        dag.root().ok_or(CompileError::NoRoot)?;
+        let mut dag = expand_math(dag);
+        if options.strength_reduce {
+            dag.strength_reduce_negated_constants();
+        }
+        let mut config = options.config.clone();
+        if lanes > 1 {
+            validate_for_batch(&dag)?;
+            config.cols = config.cols.max((dag.width() as usize + 2) * lanes);
+        }
+        let placement = place(&dag, &config)?;
+        let model = CostModel::new(&config.params);
+        let schedule = schedule(&dag, &placement, &model);
+        let trace = lower(&dag);
+        Ok(Core {
+            dag,
+            placement,
+            schedule,
+            trace,
+            model,
+            lanes,
+        })
     }
 
-    /// One recorded gate-level execution: the shared body behind
-    /// [`CompiledProgram::run`] and [`CompiledProgram::verify_equiv`].
-    fn execute(&self, inputs: &HashMap<String, u64>) -> Result<Execution, CompileError> {
-        let values = evaluate_all(&self.dag, inputs)?;
+    /// One recorded execution, linted through all five hazard passes; an
+    /// error-severity finding fails it.
+    pub(crate) fn run(
+        &self,
+        inputs: &[HashMap<String, u64>],
+    ) -> Result<(Execution, LintReport), CompileError> {
+        let exec = self.execute(inputs)?;
+        let lint = verify_trace(&exec.ops, &exec.events, Some(exec.expected_cycles));
+        if lint.error_count() > 0 {
+            return Err(CompileError::VerificationFailed(lint.to_string()));
+        }
+        Ok((exec, lint))
+    }
+
+    /// Symbolically re-executes one recorded execution and checks lane
+    /// `lane` of the root row against that lane's reference. The trace is
+    /// recorded once; only the output binding moves.
+    pub(crate) fn verify_equiv(
+        &self,
+        inputs: &[HashMap<String, u64>],
+        lane: usize,
+    ) -> Result<EquivReport, CompileError> {
+        if lane >= self.lanes {
+            return Err(CompileError::BatchUnsupported(format!(
+                "lane {lane} out of range for a {}-lane program",
+                self.lanes
+            )));
+        }
+        let exec = self.execute(inputs)?;
+        let output = self.output(&exec, lane);
+        let reference = exec.references[lane];
+        Ok(check_equiv(&exec.ops, &[], &output, move |_| reference))
+    }
+
+    /// Where lane `lane` of the root value sits in `exec`'s crossbar.
+    fn output(&self, exec: &Execution, lane: usize) -> OutputBinding {
+        OutputBinding {
+            block: exec.root_block,
+            row: exec.root_row,
+            col0: lane,
+            width: self.dag.width() as usize,
+            col_step: self.lanes,
+        }
+    }
+
+    /// One recorded gate-level execution of all `lanes` input bindings:
+    /// the shared body behind every run, proof and record.
+    pub(crate) fn execute(
+        &self,
+        inputs: &[HashMap<String, u64>],
+    ) -> Result<Execution, CompileError> {
+        if inputs.len() != self.lanes {
+            return Err(CompileError::BatchUnsupported(format!(
+                "{} input bindings for a {}-lane program",
+                inputs.len(),
+                self.lanes
+            )));
+        }
+        let per_lane: Vec<Vec<u64>> = inputs
+            .iter()
+            .map(|m| evaluate_all(&self.dag, m))
+            .collect::<Result<_, _>>()?;
+        // Transpose to per-node lane vectors for the preload calls.
+        let values: Vec<Vec<u64>> = (0..self.dag.len())
+            .map(|i| per_lane.iter().map(|l| l[i]).collect())
+            .collect();
+
         let cfg = &self.placement.config;
         let n = self.dag.width() as usize;
         let mut xbar = BlockedCrossbar::new(cfg.clone())?;
@@ -250,6 +354,7 @@ impl CompiledProgram {
             blocks: &blocks,
             scratch: &scratches,
             n,
+            lanes: self.lanes,
             t0: self.placement.region_base,
             not_row: self.placement.region_base + self.placement.region_rows.saturating_sub(1),
         };
@@ -270,7 +375,14 @@ impl CompiledProgram {
 
         let root = self.dag.root().ok_or(CompileError::NoRoot)?;
         let root_slot = self.placement.slots[root.0];
-        let value = from_bits(&xbar.peek_word(blocks[root_slot.block], root_slot.row, 0, n)?);
+        let lane_values = read_lanes(
+            &xbar,
+            blocks[root_slot.block],
+            root_slot.row,
+            0,
+            n,
+            self.lanes,
+        )?;
 
         // Teardown: return every reserved row so the scratch-lifetime pass
         // sees a leak-free program.
@@ -298,8 +410,8 @@ impl CompiledProgram {
             ops: trace,
             events,
             expected_cycles,
-            value,
-            reference: values[root.0],
+            values: lane_values,
+            references: per_lane.iter().map(|l| l[root.0]).collect(),
             cycles: delta.cycles.get(),
             energy: delta.energy,
             root_block: root_slot.block,
@@ -308,26 +420,14 @@ impl CompiledProgram {
     }
 }
 
-/// Raw outcome of one recorded gate-level execution, before any
-/// verification pass has judged it.
-struct Execution {
-    ops: OpTrace,
-    events: Vec<AllocEvent>,
-    expected_cycles: u64,
-    value: u64,
-    reference: u64,
-    cycles: u64,
-    energy: Joules,
-    root_block: usize,
-    root_row: usize,
-}
-
-/// Execution context: the crossbar plus the fixed layout handles.
+/// Execution context: the crossbar, the fixed layout handles and the lane
+/// count every column coordinate is scaled by.
 struct Machine<'a> {
     xbar: &'a mut BlockedCrossbar,
     blocks: &'a [BlockId],
     scratch: &'a [SerialScratch; 2],
     n: usize,
+    lanes: usize,
     /// First ALU-region row (partial products / tree survivors).
     t0: usize,
     /// Shared multiplicand-complement row (block 1, top of the region).
@@ -335,15 +435,28 @@ struct Machine<'a> {
 }
 
 impl Machine<'_> {
-    /// Two-NOT copy of a word segment between any two value rows, staged
-    /// through block 1's AUX row (2 cycles).
-    fn copy_word(&mut self, src: Slot, dst: Slot, cols: Range<usize>) -> Result<(), CompileError> {
+    /// Physical bitline span of logical columns `c0..c1`.
+    fn span(&self, c0: usize, c1: usize) -> Range<usize> {
+        c0 * self.lanes..c1 * self.lanes
+    }
+
+    /// Two-NOT copy of logical columns `c0..c1` between value rows,
+    /// shifted by `shift` logical columns and staged through block 1's AUX
+    /// row (2 cycles — span width is free).
+    fn copy(
+        &mut self,
+        src: Slot,
+        dst: Slot,
+        c0: usize,
+        c1: usize,
+        shift: isize,
+    ) -> Result<(), CompileError> {
         self.xbar.copy_row_shifted(
             RowRef::new(self.blocks[src.block], src.row),
             RowRef::new(self.blocks[1], ROW_AUX),
             RowRef::new(self.blocks[dst.block], dst.row),
-            cols,
-            0,
+            self.span(c0, c1),
+            shift * self.lanes as isize,
         )?;
         Ok(())
     }
@@ -354,122 +467,114 @@ impl Machine<'_> {
         if slot.block == 0 {
             return Ok(slot.row);
         }
-        let n = self.n;
-        self.copy_word(
-            slot,
-            Slot {
-                block: 0,
-                row: staging_row,
-            },
-            0..n,
-        )?;
+        let staged = Slot {
+            block: 0,
+            row: staging_row,
+        };
+        self.copy(slot, staged, 0, self.n, 0)?;
         Ok(staging_row)
     }
 
-    /// Executes one node, returning its closed-form expected cycle count.
+    /// Stores one value per lane into `slot` (free of cycles): one word
+    /// write at one lane, the interleaved bit transpose otherwise.
+    fn preload(&mut self, slot: Slot, values: &[u64]) -> Result<(), CompileError> {
+        let (block, n) = (self.blocks[slot.block], self.n);
+        if self.lanes == 1 {
+            self.xbar.preload_u64(block, slot.row, 0, n, values[0])?;
+        } else {
+            preload_lanes(self.xbar, block, slot.row, 0, n, self.lanes, values)?;
+        }
+        Ok(())
+    }
+
+    /// Zeroes logical columns `0..cols` of `slot` in every lane (free of
+    /// cycles).
+    fn zero(&mut self, slot: Slot, cols: usize) -> Result<(), CompileError> {
+        let block = self.blocks[slot.block];
+        self.xbar
+            .preload_zeros(block, slot.row, 0, cols * self.lanes)?;
+        Ok(())
+    }
+
+    /// `out = x + y` over the whole word through compute block `b`'s
+    /// serial netlist (`12n + 1` cycles): the scattered single-cell
+    /// netlist at one lane, its lane-span widening otherwise.
+    fn add(&mut self, b: usize, x: usize, y: usize, out: usize) -> Result<(), CompileError> {
+        let (block, n, lanes) = (self.blocks[b], self.n, self.lanes);
+        if lanes == 1 {
+            add_words(self.xbar, block, x, y, out, 0..n, &self.scratch[b])?;
+        } else {
+            add_lanes(self.xbar, block, x, y, out, 0..n, lanes, &self.scratch[b])?;
+        }
+        Ok(())
+    }
+
+    /// `out = x − y` in block 0, complementing `y` through AUX
+    /// (`12n + 2` cycles).
+    fn sub(&mut self, x: usize, y: usize, out: usize) -> Result<(), CompileError> {
+        let (block, n, lanes) = (self.blocks[0], self.n, self.lanes);
+        let scratch = &self.scratch[0];
+        if lanes == 1 {
+            sub_words(self.xbar, block, x, y, ROW_AUX, out, 0..n, scratch)?;
+        } else {
+            sub_lanes(self.xbar, block, x, y, ROW_AUX, out, 0..n, lanes, scratch)?;
+        }
+        Ok(())
+    }
+
+    /// Executes one node in every lane, returning its closed-form expected
+    /// cycle count. `values[node][lane]` is the reference value of `node`
+    /// in `lane`.
     fn exec(
         &mut self,
         dag: &Dag,
         placement: &Placement,
         model: &CostModel,
-        values: &[u64],
+        values: &[Vec<u64>],
         id: NodeId,
     ) -> Result<u64, CompileError> {
         let n = self.n;
         let bits = dag.width();
         let dest = placement.slots[id.0];
-        match &dag.nodes()[id.0] {
+        let node = &dag.nodes()[id.0];
+        match node {
             Node::Input { .. } | Node::Const { .. } => {
-                self.xbar.preload_word(
-                    self.blocks[dest.block],
-                    dest.row,
-                    0,
-                    &to_bits(values[id.0], n),
-                )?;
+                self.preload(dest, &values[id.0])?;
                 Ok(0)
             }
-            Node::Add { a, b } => {
+            Node::Add { a, b } | Node::Sub { a, b } => {
                 let x = self.stage(placement.slots[a.0], ROW_X)?;
                 let y = self.stage(placement.slots[b.0], ROW_Y)?;
-                let (out, copy_out) = self.serial_out(dest);
-                add_words(self.xbar, self.blocks[0], x, y, out, 0..n, &self.scratch[0])?;
-                if copy_out {
-                    self.copy_word(
-                        Slot {
-                            block: 0,
-                            row: ROW_RES,
-                        },
-                        dest,
-                        0..n,
-                    )?;
+                // The netlist writes block 0; a result homed elsewhere
+                // lands in RES and is copied out.
+                let out = if dest.block == 0 { dest.row } else { ROW_RES };
+                let cost = if let Node::Sub { .. } = node {
+                    self.sub(x, y, out)?;
+                    model.serial_sub(bits)
+                } else {
+                    self.add(0, x, y, out)?;
+                    model.serial_add(bits)
+                };
+                if dest.block != 0 {
+                    let res = Slot {
+                        block: 0,
+                        row: ROW_RES,
+                    };
+                    self.copy(res, dest, 0, n, 0)?;
                 }
-                Ok(model.serial_add(bits).cycles.get()
-                    + serial_copy_overhead(placement, *a, *b, id))
-            }
-            Node::Sub { a, b } => {
-                let x = self.stage(placement.slots[a.0], ROW_X)?;
-                let y = self.stage(placement.slots[b.0], ROW_Y)?;
-                let (out, copy_out) = self.serial_out(dest);
-                sub_words(
-                    self.xbar,
-                    self.blocks[0],
-                    x,
-                    y,
-                    ROW_AUX,
-                    out,
-                    0..n,
-                    &self.scratch[0],
-                )?;
-                if copy_out {
-                    self.copy_word(
-                        Slot {
-                            block: 0,
-                            row: ROW_RES,
-                        },
-                        dest,
-                        0..n,
-                    )?;
-                }
-                Ok(model.serial_sub(bits).cycles.get()
-                    + serial_copy_overhead(placement, *a, *b, id))
+                Ok(cost.cycles.get() + serial_copy_overhead(placement, *a, *b, id))
             }
             Node::Shl { x, amount } => {
                 let k = *amount as usize;
-                let src = placement.slots[x.0];
-                self.xbar
-                    .preload_word(self.blocks[dest.block], dest.row, 0, &vec![false; n])?;
-                self.xbar.copy_row_shifted(
-                    RowRef::new(self.blocks[src.block], src.row),
-                    RowRef::new(self.blocks[1], ROW_AUX),
-                    RowRef::new(self.blocks[dest.block], dest.row),
-                    0..n - k,
-                    k as isize,
-                )?;
+                self.zero(dest, n)?;
+                self.copy(placement.slots[x.0], dest, 0, n - k, k as isize)?;
                 Ok(2)
             }
-            Node::Shr { x, amount } => {
-                let k = *amount as usize;
-                let src = placement.slots[x.0];
-                let sign = self.xbar.read_bit(self.blocks[src.block], src.row, n - 1)?;
-                self.xbar
-                    .preload_word(self.blocks[dest.block], dest.row, 0, &vec![false; n])?;
-                self.xbar.copy_row_shifted(
-                    RowRef::new(self.blocks[src.block], src.row),
-                    RowRef::new(self.blocks[1], ROW_AUX),
-                    RowRef::new(self.blocks[dest.block], dest.row),
-                    k..n,
-                    -(k as isize),
-                )?;
-                for col in n - k..n {
-                    self.xbar
-                        .write_back_bit(self.blocks[dest.block], dest.row, col, sign)?;
-                }
-                Ok(2 + k as u64)
-            }
+            Node::Shr { x, amount } => self.shr(placement.slots[x.0], dest, *amount as usize),
             Node::Mul { a, b, mode } => {
                 let (mcand, mult, _) = mul_multiplier(dag, *a, *b, *mode);
-                let mbits = self.read_multiplier(placement.slots[mult.0])?;
-                debug_assert_eq!(mbits, values[mult.0]);
+                let mbits = self.multiplier(&dag.nodes()[mult.0], placement.slots[mult.0])?;
+                debug_assert_eq!(mbits, values[mult.0][0]);
                 let shifts = partial_product_shifts(mbits, mode.masked_multiplier_bits());
                 let count = self.place_pps(placement.slots[mcand.0], &shifts, 0)?;
                 self.finish_product(count, *mode, dest)?;
@@ -485,8 +590,8 @@ impl Machine<'_> {
                 let mut count = 0usize;
                 let mut multipliers = Vec::with_capacity(terms.len());
                 for &(ta, tb) in terms {
-                    let mbits = self.read_multiplier(placement.slots[tb.0])?;
-                    debug_assert_eq!(mbits, values[tb.0]);
+                    let mbits = self.multiplier(&dag.nodes()[tb.0], placement.slots[tb.0])?;
+                    debug_assert_eq!(mbits, values[tb.0][0]);
                     multipliers.push(mbits);
                     let shifts = partial_product_shifts(mbits, mode.masked_multiplier_bits());
                     count += self.place_pps(placement.slots[ta.0], &shifts, count)?;
@@ -511,19 +616,65 @@ impl Machine<'_> {
         }
     }
 
-    /// Where a serial (block 0) result lands: the destination row when it
-    /// lives in block 0, else the staging RES row plus a copy-out.
-    fn serial_out(&self, dest: Slot) -> (usize, bool) {
-        if dest.block == 0 {
-            (dest.row, false)
+    /// Arithmetic right shift by `k`, returning its cycle count. One lane
+    /// reads the sign bit through the sense amplifier and writes it back
+    /// per fill column (`2 + k` cycles). More lanes keep the fill in-array:
+    /// NOT the sign span into AUX once, then one cross-block NOR per fill
+    /// column re-complements it into place (`3 + k` cycles).
+    fn shr(&mut self, src: Slot, dest: Slot, k: usize) -> Result<u64, CompileError> {
+        let n = self.n;
+        let lanes = self.lanes;
+        let sign = if lanes == 1 {
+            Some(self.xbar.read_bit(self.blocks[src.block], src.row, n - 1)?)
         } else {
-            (ROW_RES, true)
+            None
+        };
+        self.zero(dest, n)?;
+        self.copy(src, dest, k, n, -(k as isize))?;
+        let dest_block = self.blocks[dest.block];
+        if let Some(sign) = sign {
+            for col in n - k..n {
+                self.xbar.write_back_bit(dest_block, dest.row, col, sign)?;
+            }
+            return Ok(2 + k as u64);
         }
+        if k == 0 {
+            return Ok(2);
+        }
+        let sign = self.span(n - 1, n);
+        let aux = RowRef::new(self.blocks[1], ROW_AUX);
+        self.xbar.init_rows(aux.block, &[ROW_AUX], sign.clone())?;
+        self.xbar.nor_rows_shifted(
+            &[RowRef::new(self.blocks[src.block], src.row)],
+            aux,
+            sign.clone(),
+            0,
+        )?;
+        for c in n - k..n {
+            let shift = (c as isize - (n as isize - 1)) * lanes as isize;
+            self.xbar
+                .init_rows(dest_block, &[dest.row], self.span(c, c + 1))?;
+            self.xbar.nor_rows_shifted(
+                &[aux],
+                RowRef::new(dest_block, dest.row),
+                sign.clone(),
+                shift,
+            )?;
+        }
+        Ok(3 + k as u64)
     }
 
-    /// Reads the multiplier word through the sense amplifier (free of
-    /// cycles, like the hand-written multiplier's bit scan).
-    fn read_multiplier(&mut self, slot: Slot) -> Result<u64, CompileError> {
+    /// The multiplier word of `node`, homed at `slot`. One lane reads it
+    /// through the sense amplifier (free of cycles, like the hand-written
+    /// multiplier's bit scan); more lanes take the compile-time constant
+    /// batch legality guarantees.
+    fn multiplier(&mut self, node: &Node, slot: Slot) -> Result<u64, CompileError> {
+        if self.lanes > 1 {
+            let Node::Const { value } = *node else {
+                unreachable!("compile_batched admits only constant multipliers")
+            };
+            return Ok(value);
+        }
         let mut bits = 0u64;
         for col in 0..self.n {
             bits |= u64::from(self.xbar.read_bit(self.blocks[slot.block], slot.row, col)?) << col;
@@ -532,8 +683,8 @@ impl Machine<'_> {
     }
 
     /// Generates one multiplicand's truncated partial products into region
-    /// rows `t0 + pp_base ..`, sharing a single complement NOR
-    /// (`1 + shifts.len()` cycles; zero for an all-zero multiplier).
+    /// rows `t0 + pp_base ..` in every lane, sharing a single complement
+    /// NOR (`1 + shifts.len()` cycles; zero for an all-zero multiplier).
     fn place_pps(
         &mut self,
         mcand: Slot,
@@ -544,24 +695,26 @@ impl Machine<'_> {
             return Ok(0);
         }
         let n = self.n;
-        self.xbar.init_rows(self.blocks[1], &[self.not_row], 0..n)?;
+        let not = RowRef::new(self.blocks[1], self.not_row);
+        self.xbar
+            .init_rows(not.block, &[self.not_row], self.span(0, n))?;
         self.xbar.nor_rows_shifted(
             &[RowRef::new(self.blocks[mcand.block], mcand.row)],
-            RowRef::new(self.blocks[1], self.not_row),
-            0..n,
+            not,
+            self.span(0, n),
             0,
         )?;
         for (i, &shift) in shifts.iter().enumerate() {
             let lo = shift as usize;
             let row = self.t0 + pp_base + i;
+            self.zero(Slot { block: 0, row }, n + 2)?;
             self.xbar
-                .preload_word(self.blocks[0], row, 0, &vec![false; n + 2])?;
-            self.xbar.init_rows(self.blocks[0], &[row], lo..n)?;
+                .init_rows(self.blocks[0], &[row], self.span(lo, n))?;
             self.xbar.nor_rows_shifted(
-                &[RowRef::new(self.blocks[1], self.not_row)],
+                &[not],
                 RowRef::new(self.blocks[0], row),
-                0..n - lo,
-                lo as isize,
+                self.span(0, n - lo),
+                (lo * self.lanes) as isize,
             )?;
         }
         Ok(shifts.len())
@@ -578,26 +731,25 @@ impl Machine<'_> {
     ) -> Result<(), CompileError> {
         let n = self.n;
         match count {
-            0 => {
-                self.xbar
-                    .preload_word(self.blocks[dest.block], dest.row, 0, &vec![false; n])?;
-                Ok(())
-            }
-            1 => self.copy_word(
+            0 => self.zero(dest, n),
+            1 => self.copy(
                 Slot {
                     block: 0,
                     row: self.t0,
                 },
                 dest,
-                0..n,
+                0,
+                n,
+                0,
             ),
             _ => {
-                let (survivor_block, survivors) = reduce_rows_to_two_at(
+                let (survivor_block, survivors) = reduce_rows_to_two_lanes(
                     self.xbar,
                     self.blocks[0],
                     self.blocks[1],
                     count,
                     0..n,
+                    self.lanes,
                     self.t0,
                 )?;
                 debug_assert_eq!(survivors, 2);
@@ -609,28 +761,27 @@ impl Machine<'_> {
 
     /// The §3.4 final product generation over the two survivors at rows
     /// `t0`/`t0 + 1` of `s`: `m` approximate LSBs via MAJ carries, the rest
-    /// via the serial netlist seeded with the boundary carry.
+    /// via the serial netlist seeded with the boundary carry. The MAJ
+    /// carry reads steer write-backs, so `m > 0` is one-lane only.
     fn final_add(&mut self, s: BlockId, m: usize, dest: Slot) -> Result<(), CompileError> {
         let n = self.n;
-        let si = if s == self.blocks[0] { 0 } else { 1 };
+        let si = usize::from(s != self.blocks[0]);
         let oi = 1 - si;
         let (t0, t1) = (self.t0, self.t0 + 1);
+        let res = |block| Slot {
+            block,
+            row: ROW_RES,
+        };
         if m == 0 {
             if si == 0 && dest.block == 0 {
-                add_words(self.xbar, s, t0, t1, dest.row, 0..n, &self.scratch[0])?;
+                self.add(0, t0, t1, dest.row)?;
             } else {
-                add_words(self.xbar, s, t0, t1, ROW_RES, 0..n, &self.scratch[si])?;
-                self.copy_word(
-                    Slot {
-                        block: si,
-                        row: ROW_RES,
-                    },
-                    dest,
-                    0..n,
-                )?;
+                self.add(si, t0, t1, ROW_RES)?;
+                self.copy(res(si), dest, 0, n, 0)?;
             }
             return Ok(());
         }
+        debug_assert_eq!(self.lanes, 1, "relaxed final add at more than one lane");
         // Approximate LSBs: a MAJ + write-back carry chain in AUX, then
         // one parallel inversion into the partner block's RES row.
         self.xbar.preload_bit(s, ROW_AUX, 0, false)?;
@@ -648,14 +799,7 @@ impl Machine<'_> {
             -1,
         )?;
         if m == n {
-            return self.copy_word(
-                Slot {
-                    block: oi,
-                    row: ROW_RES,
-                },
-                dest,
-                0..n,
-            );
+            return self.copy(res(oi), dest, 0, n, 0);
         }
         // Hand the exact boundary carry to the serial netlist and finish
         // the high bits.
@@ -664,34 +808,9 @@ impl Machine<'_> {
         self.xbar
             .nor_cells(s, &[(ROW_AUX, m)], (scratch.carry, m))?;
         add_words_with_carry(self.xbar, s, t0, t1, ROW_RES, m..n, scratch)?;
-        self.copy_word(
-            Slot {
-                block: oi,
-                row: ROW_RES,
-            },
-            dest,
-            0..m,
-        )?;
-        self.copy_word(
-            Slot {
-                block: si,
-                row: ROW_RES,
-            },
-            dest,
-            m..n,
-        )?;
-        Ok(())
+        self.copy(res(oi), dest, 0, m, 0)?;
+        self.copy(res(si), dest, m, n, 0)
     }
-}
-
-fn to_bits(v: u64, n: usize) -> Vec<bool> {
-    (0..n).map(|i| (v >> i) & 1 == 1).collect()
-}
-
-fn from_bits(bits: &[bool]) -> u64 {
-    bits.iter()
-        .enumerate()
-        .fold(0, |acc, (i, &b)| acc | (u64::from(b) << i))
 }
 
 #[cfg(test)]

@@ -1,65 +1,48 @@
-//! Lane-batched gate-level backend: one compiled microprogram computes up
-//! to 64 independent instances per pass.
+//! Lane-batched programs: one compiled microprogram computes up to 64
+//! independent instances per pass.
 //!
-//! The serial backend ([`crate::backend`]) runs a DAG for one input
-//! binding; this module runs the *same* placement for `L ≤ 64` bindings at
-//! once by laying every value row out in the interleaved lane format of
-//! [`apim_logic::lanes`] — logical column `c` of lane `j` at bitline
-//! `c · L + j`. Column-parallel MAGIC NOR costs one cycle regardless of
-//! span width, so every primitive the serial machine issues widens to all
+//! [`compile_batched`] compiles a DAG through the same pipeline as
+//! [`crate::compile`] and runs it on the same gate-level machine
+//! ([`crate::backend`]) at `L ≤ 64` lanes: every value row is laid out in
+//! the interleaved lane format of [`apim_logic::lanes`] — logical column
+//! `c` of lane `j` at bitline `c · L + j`. Column-parallel MAGIC NOR costs
+//! one cycle regardless of span width, so every primitive widens to all
 //! lanes for free and the batched program's cycle count is (almost) the
-//! serial count — a throughput win of ~`L`×.
+//! one-lane count — a throughput win of ~`L`×. One lane is the serial
+//! program itself.
 //!
-//! **Lanes are data, not control.** The batched machine is restricted to
-//! nodes whose microprogram shape is independent of the operand values:
-//! constant multipliers (partial-product shifts known at compile time) and
-//! exact final products (`relaxed_product_bits == 0` — the approximate
-//! §3.4 tail reads per-bit carries through the sense amps, which would be
-//! per-lane control). [`compile_batched`] rejects anything else with
-//! [`CompileError::BatchUnsupported`]. Within that class, the recorded
-//! trace has the same shape for every lane, so the five hazard passes
-//! certify all lanes in one replay and the symbolic equivalence check is
-//! replicated per lane purely by re-aiming the output binding
-//! (`col0 = lane`, `col_step = L`).
+//! **Lanes are data, not control.** At two or more lanes the machine is
+//! restricted to nodes whose microprogram shape is independent of the
+//! operand values: constant multipliers (partial-product shifts known at
+//! compile time) and exact final products (`relaxed_product_bits == 0` —
+//! the approximate §3.4 tail reads per-bit carries through the sense
+//! amps, which would be per-lane control). [`compile_batched`] rejects
+//! anything else with [`CompileError::BatchUnsupported`]. Within that
+//! class, the recorded trace has the same shape for every lane, so the
+//! five hazard passes certify all lanes in one replay and the symbolic
+//! equivalence check is replicated per lane purely by re-aiming the
+//! output binding (`col0 = lane`, `col_step = L`).
 //!
-//! The serial path stays the differential oracle: every batched run reads
-//! back all lanes and reports them next to the pure-integer references.
+//! The pure-integer evaluator stays the differential oracle: every
+//! batched run reads back all lanes and reports them next to the per-lane
+//! references.
 
 use std::collections::HashMap;
 
 use apim_arch::isa::Trace;
-use apim_crossbar::{
-    AllocEvent, BlockId, BlockedCrossbar, OpTrace, RowAllocator, RowRef, WORD_BITS,
-};
+use apim_crossbar::{OpTrace, WORD_BITS};
 use apim_device::Joules;
-use apim_logic::adder_serial::SerialScratch;
-use apim_logic::functional::partial_product_shifts;
-use apim_logic::lanes::{add_lanes, preload_lanes, read_lanes, sub_lanes};
-use apim_logic::wallace::reduce_rows_to_two_lanes;
 use apim_logic::CostModel;
-use apim_verify::{check_equiv, verify_trace, EquivReport, LintReport, OutputBinding};
+use apim_verify::{EquivReport, LintReport};
 
-use crate::backend::CompileOptions;
-use crate::eval::evaluate_all;
-use crate::expand::expand_math;
-use crate::ir::{Dag, Node, NodeId};
-use crate::lower::lower;
-use crate::plan::{
-    mul_copy_overhead, mul_multiplier, place, schedule, serial_copy_overhead, BlockSchedule,
-    Placement, Slot, ROW_AUX, ROW_RES, ROW_X, ROW_Y,
-};
+use crate::backend::{CompileOptions, Core};
+use crate::ir::{Dag, Node};
+use crate::plan::{mul_multiplier, BlockSchedule, Placement};
 use crate::CompileError;
 
 /// A DAG compiled for lane-batched execution: `lanes` instances per pass.
 #[derive(Debug, Clone)]
-pub struct BatchCompiledProgram {
-    dag: Dag,
-    placement: Placement,
-    schedule: BlockSchedule,
-    trace: Trace,
-    model: CostModel,
-    lanes: usize,
-}
+pub struct BatchCompiledProgram(Core);
 
 /// Outcome of one lane-batched gate-level execution.
 #[derive(Debug, Clone)]
@@ -85,7 +68,7 @@ pub struct BatchRunReport {
 /// Rejects DAG features whose microprogram shape would depend on lane
 /// data. Runs on the post-expansion, post-strength-reduction DAG — the one
 /// the machine actually executes.
-fn validate_for_batch(dag: &Dag) -> Result<(), CompileError> {
+pub(crate) fn validate_for_batch(dag: &Dag) -> Result<(), CompileError> {
     for i in 0..dag.len() {
         match &dag.nodes()[i] {
             Node::Mul { a, b, mode } => {
@@ -126,16 +109,16 @@ fn validate_for_batch(dag: &Dag) -> Result<(), CompileError> {
 }
 
 /// Compiles `dag` for lane-batched execution at `lanes` instances per
-/// pass: the serial pipeline (math expansion, strength reduction,
-/// placement, scheduling) plus the batch legality check, against a
-/// geometry widened to `(width + 2) · lanes` bitlines when the configured
-/// crossbar is narrower.
+/// pass through [`crate::compile`]'s pipeline. At two or more lanes the
+/// batch legality check runs after strength reduction and the geometry is
+/// widened to `(width + 2) · lanes` bitlines when the configured crossbar
+/// is narrower; one lane compiles the serial program.
 ///
 /// # Errors
 ///
-/// [`CompileError::BatchUnsupported`] for lane counts outside `1..=64` or
-/// DAG features that would need per-lane control flow; otherwise the same
-/// failures as [`crate::compile`].
+/// [`CompileError::BatchUnsupported`] for lane counts outside `1..=64` or,
+/// at two or more lanes, DAG features that would need per-lane control
+/// flow; otherwise the same failures as [`crate::compile`].
 pub fn compile_batched(
     dag: &Dag,
     options: &CompileOptions,
@@ -146,59 +129,39 @@ pub fn compile_batched(
             "lane count {lanes} outside 1..={WORD_BITS}"
         )));
     }
-    dag.root().ok_or(CompileError::NoRoot)?;
-    let mut dag = expand_math(dag);
-    if options.strength_reduce {
-        dag.strength_reduce_negated_constants();
-    }
-    validate_for_batch(&dag)?;
-    let n = dag.width() as usize;
-    let mut config = options.config.clone();
-    config.cols = config.cols.max((n + 2) * lanes);
-    let placement = place(&dag, &config)?;
-    let model = CostModel::new(&config.params);
-    let schedule = schedule(&dag, &placement, &model);
-    let trace = lower(&dag);
-    Ok(BatchCompiledProgram {
-        dag,
-        placement,
-        schedule,
-        trace,
-        model,
-        lanes,
-    })
+    Core::compile(dag, options, lanes).map(BatchCompiledProgram)
 }
 
 impl BatchCompiledProgram {
     /// The (possibly strength-reduced) DAG this program executes.
     pub fn dag(&self) -> &Dag {
-        &self.dag
+        &self.0.dag
     }
 
-    /// The row placement (shared with the serial backend — lane batching
-    /// scales columns, not rows).
+    /// The row placement (the same row map at every lane count — lane
+    /// batching scales columns, not rows).
     pub fn placement(&self) -> &Placement {
-        &self.placement
+        &self.0.placement
     }
 
     /// The block-pair list schedule.
     pub fn schedule(&self) -> &BlockSchedule {
-        &self.schedule
+        &self.0.schedule
     }
 
     /// The lowered controller macro-op trace.
     pub fn trace(&self) -> &Trace {
-        &self.trace
+        &self.0.trace
     }
 
     /// The analytic cost model used for cycle bookkeeping.
     pub fn model(&self) -> &CostModel {
-        &self.model
+        &self.0.model
     }
 
     /// Instances per pass this program was compiled for.
     pub fn lanes(&self) -> usize {
-        self.lanes
+        self.0.lanes
     }
 
     /// Executes all `lanes` input bindings in one microprogram pass, then
@@ -211,18 +174,14 @@ impl BatchCompiledProgram {
     /// [`CompileError::VerificationFailed`] for an error-severity hazard
     /// finding.
     pub fn run(&self, inputs: &[HashMap<String, u64>]) -> Result<BatchRunReport, CompileError> {
-        let exec = self.execute(inputs)?;
-        let lint = verify_trace(&exec.ops, &exec.events, Some(exec.expected_cycles));
-        if lint.error_count() > 0 {
-            return Err(CompileError::VerificationFailed(lint.to_string()));
-        }
+        let (exec, lint) = self.0.run(inputs)?;
         Ok(BatchRunReport {
+            trace_len: exec.ops.len(),
             values: exec.values,
             references: exec.references,
             cycles: exec.cycles,
             expected_cycles: exec.expected_cycles,
             energy: exec.energy,
-            trace_len: exec.ops.len(),
             lint,
         })
     }
@@ -243,22 +202,7 @@ impl BatchCompiledProgram {
         inputs: &[HashMap<String, u64>],
         lane: usize,
     ) -> Result<EquivReport, CompileError> {
-        if lane >= self.lanes {
-            return Err(CompileError::BatchUnsupported(format!(
-                "lane {lane} out of range for a {}-lane program",
-                self.lanes
-            )));
-        }
-        let exec = self.execute(inputs)?;
-        let output = OutputBinding {
-            block: exec.root_block,
-            row: exec.root_row,
-            col0: lane,
-            width: self.dag.width() as usize,
-            col_step: self.lanes,
-        };
-        let reference = exec.references[lane];
-        Ok(check_equiv(&exec.ops, &[], &output, move |_| reference))
+        self.0.verify_equiv(inputs, lane)
     }
 
     /// Records one lane-batched execution and returns the raw
@@ -270,496 +214,7 @@ impl BatchCompiledProgram {
     ///
     /// A binding-count mismatch, unbound inputs or crossbar faults.
     pub fn record(&self, inputs: &[HashMap<String, u64>]) -> Result<OpTrace, CompileError> {
-        Ok(self.execute(inputs)?.ops)
-    }
-
-    /// One recorded lane-batched execution: the shared body behind
-    /// [`BatchCompiledProgram::run`] and
-    /// [`BatchCompiledProgram::verify_equiv_lane`]. Mirrors the serial
-    /// backend's allocator discipline row for row — lane batching scales
-    /// columns only, so the planner's row map transfers unchanged.
-    fn execute(&self, inputs: &[HashMap<String, u64>]) -> Result<BatchExecution, CompileError> {
-        if inputs.len() != self.lanes {
-            return Err(CompileError::BatchUnsupported(format!(
-                "{} input bindings for a {}-lane program",
-                inputs.len(),
-                self.lanes
-            )));
-        }
-        let per_lane: Vec<Vec<u64>> = inputs
-            .iter()
-            .map(|m| evaluate_all(&self.dag, m))
-            .collect::<Result<_, _>>()?;
-        // Transpose to per-node lane vectors for the preload calls.
-        let values: Vec<Vec<u64>> = (0..self.dag.len())
-            .map(|i| per_lane.iter().map(|l| l[i]).collect())
-            .collect();
-
-        let cfg = &self.placement.config;
-        let n = self.dag.width() as usize;
-        let mut xbar = BlockedCrossbar::new(cfg.clone())?;
-        let blocks: Vec<BlockId> = (0..cfg.blocks)
-            .map(|i| xbar.block(i))
-            .collect::<Result<_, _>>()?;
-
-        let mut allocs: Vec<RowAllocator> = (0..cfg.blocks)
-            .map(|_| RowAllocator::with_tracing(cfg.rows))
-            .collect();
-        let mut scratches: Vec<SerialScratch> = Vec::with_capacity(2);
-        let mut regions: Vec<Vec<usize>> = Vec::with_capacity(2);
-        for alloc in allocs.iter_mut().take(2) {
-            let staging = alloc.alloc_many(4)?;
-            debug_assert_eq!(staging, [ROW_X, ROW_Y, ROW_AUX, ROW_RES]);
-            scratches.push(SerialScratch::alloc(alloc)?);
-            regions.push(if self.placement.region_rows > 0 {
-                alloc.alloc_many(self.placement.region_rows)?
-            } else {
-                Vec::new()
-            });
-        }
-        let scratches: [SerialScratch; 2] = scratches.try_into().expect("two compute blocks");
-
-        let stats_before = *xbar.stats();
-        xbar.start_recording();
-
-        let mut machine = BatchMachine {
-            xbar: &mut xbar,
-            blocks: &blocks,
-            scratch: &scratches,
-            n,
-            lanes: self.lanes,
-            t0: self.placement.region_base,
-            not_row: self.placement.region_base + self.placement.region_rows.saturating_sub(1),
-        };
-        let mut expected_cycles = 0u64;
-        for i in 0..self.dag.len() {
-            let id = NodeId(i);
-            let dest = self.placement.slots[i];
-            let row = allocs[dest.block].alloc()?;
-            debug_assert_eq!(row, dest.row, "planner/runtime divergence at {id}");
-            expected_cycles +=
-                machine.exec(&self.dag, &self.placement, &self.model, &values, id)?;
-            for &op in &self.placement.frees[i] {
-                let s = self.placement.slots[op.0];
-                allocs[s.block].free(s.row)?;
-            }
-        }
-        let trace = machine.xbar.stop_recording();
-
-        let root = self.dag.root().ok_or(CompileError::NoRoot)?;
-        let root_slot = self.placement.slots[root.0];
-        let lane_values = read_lanes(
-            &xbar,
-            blocks[root_slot.block],
-            root_slot.row,
-            0,
-            n,
-            self.lanes,
-        )?;
-
-        allocs[root_slot.block].free(root_slot.row)?;
-        for (b, scratch) in scratches.into_iter().enumerate() {
-            allocs[b].free_many(regions[b].iter().copied())?;
-            scratch.release(&mut allocs[b])?;
-            allocs[b].free_many([ROW_X, ROW_Y, ROW_AUX, ROW_RES])?;
-        }
-
-        let mut events = Vec::new();
-        for (b, alloc) in allocs.iter_mut().enumerate() {
-            let offset = b * cfg.rows;
-            events.extend(alloc.take_events().into_iter().map(|ev| match ev {
-                AllocEvent::Alloc { row } => AllocEvent::Alloc { row: row + offset },
-                AllocEvent::Free { row } => AllocEvent::Free { row: row + offset },
-            }));
-        }
-
-        let delta = *xbar.stats() - stats_before;
-        Ok(BatchExecution {
-            ops: trace,
-            events,
-            expected_cycles,
-            values: lane_values,
-            references: (0..self.lanes).map(|j| per_lane[j][root.0]).collect(),
-            cycles: delta.cycles.get(),
-            energy: delta.energy,
-            root_block: root_slot.block,
-            root_row: root_slot.row,
-        })
-    }
-}
-
-/// Raw outcome of one recorded lane-batched execution.
-struct BatchExecution {
-    ops: OpTrace,
-    events: Vec<AllocEvent>,
-    expected_cycles: u64,
-    values: Vec<u64>,
-    references: Vec<u64>,
-    cycles: u64,
-    energy: Joules,
-    root_block: usize,
-    root_row: usize,
-}
-
-/// Lane-batched execution context: [`crate::backend`]'s `Machine` with
-/// every column coordinate scaled by `lanes`.
-struct BatchMachine<'a> {
-    xbar: &'a mut BlockedCrossbar,
-    blocks: &'a [BlockId],
-    scratch: &'a [SerialScratch; 2],
-    n: usize,
-    lanes: usize,
-    /// First ALU-region row (partial products / tree survivors).
-    t0: usize,
-    /// Shared multiplicand-complement row (block 1, top of the region).
-    not_row: usize,
-}
-
-impl BatchMachine<'_> {
-    /// Physical bitline span of logical columns `c0..c1`.
-    fn span(&self, c0: usize, c1: usize) -> std::ops::Range<usize> {
-        c0 * self.lanes..c1 * self.lanes
-    }
-
-    /// Two-NOT copy of a logical column window between value rows, staged
-    /// through block 1's AUX row (2 cycles — span width is free).
-    fn copy_word(
-        &mut self,
-        src: Slot,
-        dst: Slot,
-        c0: usize,
-        c1: usize,
-    ) -> Result<(), CompileError> {
-        self.xbar.copy_row_shifted(
-            RowRef::new(self.blocks[src.block], src.row),
-            RowRef::new(self.blocks[1], ROW_AUX),
-            RowRef::new(self.blocks[dst.block], dst.row),
-            self.span(c0, c1),
-            0,
-        )?;
-        Ok(())
-    }
-
-    /// Returns a compute-block row holding the operand: its home row when
-    /// already in block 0, else a 2-cycle staging copy into `staging_row`.
-    fn stage(&mut self, slot: Slot, staging_row: usize) -> Result<usize, CompileError> {
-        if slot.block == 0 {
-            return Ok(slot.row);
-        }
-        self.copy_word(
-            slot,
-            Slot {
-                block: 0,
-                row: staging_row,
-            },
-            0,
-            self.n,
-        )?;
-        Ok(staging_row)
-    }
-
-    /// Executes one node across all lanes, returning its closed-form
-    /// expected cycle count. `values[node][lane]` is the reference value
-    /// of `node` in `lane`.
-    fn exec(
-        &mut self,
-        dag: &Dag,
-        placement: &Placement,
-        model: &CostModel,
-        values: &[Vec<u64>],
-        id: NodeId,
-    ) -> Result<u64, CompileError> {
-        let n = self.n;
-        let lanes = self.lanes;
-        let bits = dag.width();
-        let dest = placement.slots[id.0];
-        match &dag.nodes()[id.0] {
-            Node::Input { .. } | Node::Const { .. } => {
-                preload_lanes(
-                    self.xbar,
-                    self.blocks[dest.block],
-                    dest.row,
-                    0,
-                    n,
-                    lanes,
-                    &values[id.0],
-                )?;
-                Ok(0)
-            }
-            Node::Add { a, b } => {
-                let x = self.stage(placement.slots[a.0], ROW_X)?;
-                let y = self.stage(placement.slots[b.0], ROW_Y)?;
-                let (out, copy_out) = self.serial_out(dest);
-                add_lanes(
-                    self.xbar,
-                    self.blocks[0],
-                    x,
-                    y,
-                    out,
-                    0..n,
-                    lanes,
-                    &self.scratch[0],
-                )?;
-                if copy_out {
-                    self.copy_word(
-                        Slot {
-                            block: 0,
-                            row: ROW_RES,
-                        },
-                        dest,
-                        0,
-                        n,
-                    )?;
-                }
-                Ok(model.serial_add(bits).cycles.get()
-                    + serial_copy_overhead(placement, *a, *b, id))
-            }
-            Node::Sub { a, b } => {
-                let x = self.stage(placement.slots[a.0], ROW_X)?;
-                let y = self.stage(placement.slots[b.0], ROW_Y)?;
-                let (out, copy_out) = self.serial_out(dest);
-                sub_lanes(
-                    self.xbar,
-                    self.blocks[0],
-                    x,
-                    y,
-                    ROW_AUX,
-                    out,
-                    0..n,
-                    lanes,
-                    &self.scratch[0],
-                )?;
-                if copy_out {
-                    self.copy_word(
-                        Slot {
-                            block: 0,
-                            row: ROW_RES,
-                        },
-                        dest,
-                        0,
-                        n,
-                    )?;
-                }
-                Ok(model.serial_sub(bits).cycles.get()
-                    + serial_copy_overhead(placement, *a, *b, id))
-            }
-            Node::Shl { x, amount } => {
-                let k = *amount as usize;
-                let src = placement.slots[x.0];
-                self.xbar
-                    .preload_zeros(self.blocks[dest.block], dest.row, 0, n * lanes)?;
-                self.xbar.copy_row_shifted(
-                    RowRef::new(self.blocks[src.block], src.row),
-                    RowRef::new(self.blocks[1], ROW_AUX),
-                    RowRef::new(self.blocks[dest.block], dest.row),
-                    self.span(0, n - k),
-                    (k * lanes) as isize,
-                )?;
-                Ok(2)
-            }
-            Node::Shr { x, amount } => {
-                // The serial backend reads the sign bit through the sense
-                // amplifier and writes it back per fill column — per-lane
-                // control. The batched form keeps it in-array: NOT the
-                // sign lane span into AUX once, then one cross-block NOR
-                // per fill column re-complements it into place
-                // (3 + k cycles vs. the serial 2 + k).
-                let k = *amount as usize;
-                let src = placement.slots[x.0];
-                self.xbar
-                    .preload_zeros(self.blocks[dest.block], dest.row, 0, n * lanes)?;
-                self.xbar.copy_row_shifted(
-                    RowRef::new(self.blocks[src.block], src.row),
-                    RowRef::new(self.blocks[1], ROW_AUX),
-                    RowRef::new(self.blocks[dest.block], dest.row),
-                    self.span(k, n),
-                    -((k * lanes) as isize),
-                )?;
-                if k > 0 {
-                    let sign = self.span(n - 1, n);
-                    self.xbar
-                        .init_rows(self.blocks[1], &[ROW_AUX], sign.clone())?;
-                    self.xbar.nor_rows_shifted(
-                        &[RowRef::new(self.blocks[src.block], src.row)],
-                        RowRef::new(self.blocks[1], ROW_AUX),
-                        sign.clone(),
-                        0,
-                    )?;
-                    for c in n - k..n {
-                        let shift = (c as isize - (n as isize - 1)) * lanes as isize;
-                        self.xbar.init_rows(
-                            self.blocks[dest.block],
-                            &[dest.row],
-                            self.span(c, c + 1),
-                        )?;
-                        self.xbar.nor_rows_shifted(
-                            &[RowRef::new(self.blocks[1], ROW_AUX)],
-                            RowRef::new(self.blocks[dest.block], dest.row),
-                            sign.clone(),
-                            shift,
-                        )?;
-                    }
-                }
-                Ok(2 + if k > 0 { 1 + k as u64 } else { 0 })
-            }
-            Node::Mul { a, b, mode } => {
-                let (mcand, _, cval) = mul_multiplier(dag, *a, *b, *mode);
-                let c = cval.expect("compile_batched validated a constant multiplier");
-                let shifts = partial_product_shifts(c, mode.masked_multiplier_bits());
-                let count = self.place_pps(placement.slots[mcand.0], &shifts, 0)?;
-                self.finish_product(count, dest)?;
-                Ok(model.multiply_trunc_value(bits, c, *mode).cycles.get()
-                    + mul_copy_overhead(bits, count, 0, placement.in_compute(id)))
-            }
-            Node::Mac { terms, mode } => {
-                let mut count = 0usize;
-                let mut multipliers = Vec::with_capacity(terms.len());
-                for &(ta, tb) in terms {
-                    let Node::Const { value } = dag.nodes()[tb.0] else {
-                        unreachable!("compile_batched validated constant MAC multipliers")
-                    };
-                    multipliers.push(value);
-                    let shifts = partial_product_shifts(value, mode.masked_multiplier_bits());
-                    count += self.place_pps(placement.slots[ta.0], &shifts, count)?;
-                }
-                self.finish_product(count, dest)?;
-                Ok(model
-                    .mac_group_value(bits, &multipliers, *mode)
-                    .cycles
-                    .get()
-                    + mul_copy_overhead(bits, count, 0, placement.in_compute(id)))
-            }
-            Node::Math { .. } => Err(CompileError::InvalidDag(
-                "unexpanded math node reached the lane-batched backend".into(),
-            )),
-        }
-    }
-
-    /// Where a serial-netlist (block 0) result lands: the destination row
-    /// when it lives in block 0, else the staging RES row plus a copy-out.
-    fn serial_out(&self, dest: Slot) -> (usize, bool) {
-        if dest.block == 0 {
-            (dest.row, false)
-        } else {
-            (ROW_RES, true)
-        }
-    }
-
-    /// Generates one multiplicand's partial products into region rows
-    /// `t0 + pp_base ..` across all lanes, sharing a single complement NOR
-    /// (`1 + shifts.len()` cycles — identical to the serial count; the
-    /// shifts come from a compile-time constant, so every lane gets the
-    /// same rows).
-    fn place_pps(
-        &mut self,
-        mcand: Slot,
-        shifts: &[u32],
-        pp_base: usize,
-    ) -> Result<usize, CompileError> {
-        if shifts.is_empty() {
-            return Ok(0);
-        }
-        let n = self.n;
-        let lanes = self.lanes;
-        self.xbar
-            .init_rows(self.blocks[1], &[self.not_row], self.span(0, n))?;
-        self.xbar.nor_rows_shifted(
-            &[RowRef::new(self.blocks[mcand.block], mcand.row)],
-            RowRef::new(self.blocks[1], self.not_row),
-            self.span(0, n),
-            0,
-        )?;
-        for (i, &shift) in shifts.iter().enumerate() {
-            let lo = shift as usize;
-            let row = self.t0 + pp_base + i;
-            self.xbar
-                .preload_zeros(self.blocks[0], row, 0, (n + 2) * lanes)?;
-            self.xbar
-                .init_rows(self.blocks[0], &[row], self.span(lo, n))?;
-            self.xbar.nor_rows_shifted(
-                &[RowRef::new(self.blocks[1], self.not_row)],
-                RowRef::new(self.blocks[0], row),
-                self.span(0, n - lo),
-                (lo * lanes) as isize,
-            )?;
-        }
-        Ok(shifts.len())
-    }
-
-    /// Turns `count` partial products (region rows `t0..`) into the
-    /// destination word in every lane: Wallace reduction to two survivors,
-    /// then the exact final addition (`relaxed_product_bits == 0` was
-    /// enforced at compile time).
-    fn finish_product(&mut self, count: usize, dest: Slot) -> Result<(), CompileError> {
-        let n = self.n;
-        let lanes = self.lanes;
-        match count {
-            0 => {
-                self.xbar
-                    .preload_zeros(self.blocks[dest.block], dest.row, 0, n * lanes)?;
-                Ok(())
-            }
-            1 => self.copy_word(
-                Slot {
-                    block: 0,
-                    row: self.t0,
-                },
-                dest,
-                0,
-                n,
-            ),
-            _ => {
-                let (survivor_block, survivors) = reduce_rows_to_two_lanes(
-                    self.xbar,
-                    self.blocks[0],
-                    self.blocks[1],
-                    count,
-                    0..n,
-                    lanes,
-                    self.t0,
-                )?;
-                debug_assert_eq!(survivors, 2);
-                let si = if survivor_block == self.blocks[0] {
-                    0
-                } else {
-                    1
-                };
-                let (t0, t1) = (self.t0, self.t0 + 1);
-                if si == 0 && dest.block == 0 {
-                    add_lanes(
-                        self.xbar,
-                        survivor_block,
-                        t0,
-                        t1,
-                        dest.row,
-                        0..n,
-                        lanes,
-                        &self.scratch[0],
-                    )?;
-                } else {
-                    add_lanes(
-                        self.xbar,
-                        survivor_block,
-                        t0,
-                        t1,
-                        ROW_RES,
-                        0..n,
-                        lanes,
-                        &self.scratch[si],
-                    )?;
-                    self.copy_word(
-                        Slot {
-                            block: si,
-                            row: ROW_RES,
-                        },
-                        dest,
-                        0,
-                        n,
-                    )?;
-                }
-                Ok(())
-            }
-        }
+        Ok(self.0.execute(inputs)?.ops)
     }
 }
 

@@ -22,7 +22,9 @@
 //!    replays the captured microprogram through **all five**
 //!    `apim-verify` hazard passes as a post-condition. A compiled program
 //!    that trips a lint is a compiler bug, reported as
-//!    [`CompileError::VerificationFailed`].
+//!    [`CompileError::VerificationFailed`]. The same machine runs up to
+//!    64 instances per pass ([`compile_batched`], one instance per
+//!    bitline lane); one lane is the serial program.
 //!
 //! The reference semantics ([`eval`]) are pure-integer and bit-exact
 //! against the gate level in every precision mode; the property tests pin
@@ -76,9 +78,9 @@ pub enum CompileError {
     /// The compiled microprogram tripped an `apim-verify` hazard pass —
     /// a compiler bug, never a user error.
     VerificationFailed(String),
-    /// The DAG (or call) is outside the lane-batched backend's
-    /// data-independent-control subset — e.g. a non-constant multiplier or
-    /// an approximate final product.
+    /// The DAG (or call) is outside the data-independent-control subset a
+    /// program of two or more lanes admits — e.g. a non-constant
+    /// multiplier or an approximate final product.
     BatchUnsupported(String),
 }
 

@@ -53,13 +53,6 @@ pub struct PoolConfig {
     pub default_deadline: Option<Duration>,
     /// Max queue slots one tenant may hold (`None` = no quota).
     pub per_tenant_quota: Option<usize>,
-    /// Route same-`(app, mode)` [`JobKind::Pixel`] batches through the
-    /// lane-batched compiled-kernel path (one pass of the worker's cached
-    /// `compile_batched` kernel answers the whole batch, one pixel per
-    /// bitline lane) whenever the batch fits a word. Off forces the
-    /// per-pixel serial path — the differential oracle the integration
-    /// tests compare against.
-    pub lane_batch: bool,
     /// Device configuration for every worker's simulator shard.
     pub apim: ApimConfig,
     /// Injected faults (testing).
@@ -77,7 +70,6 @@ impl Default for PoolConfig {
             backoff_cap: Duration::from_millis(50),
             default_deadline: None,
             per_tenant_quota: None,
-            lane_batch: true,
             apim: ApimConfig::default(),
             fault: FaultPlan::None,
         }
@@ -360,49 +352,22 @@ impl Pool {
                 joins.push(scope.spawn(move || {
                     let mut kernels = KernelCache::default();
                     for batch_id in batch_ids {
+                        let indices = &batches[batch_id].1;
+                        // The one-shot path has no queue: each member is
+                        // accepted, and its latency clock starts, as its
+                        // batch begins.
                         let started = Instant::now();
-                        let members = &batches[batch_id].1;
-                        let mut memo = RunMemo::default();
-                        let refs: Vec<&Request> = members.iter().map(|&i| &requests[i]).collect();
-                        let mut pre = if shared.config.lane_batch {
-                            lane_batch_pixels(&mut kernels, &refs)
-                        } else {
-                            vec![None; members.len()]
-                        };
-                        for (slot, &index) in pre.iter_mut().zip(members) {
-                            let response = match slot.take() {
-                                Some(output) => respond_prebatched(
-                                    shared,
-                                    index as u64,
-                                    &requests[index],
-                                    started,
-                                    output,
-                                ),
-                                None => execute_job(
-                                    shared,
-                                    &apim,
-                                    &mut memo,
-                                    index as u64,
-                                    &requests[index],
-                                    started,
-                                ),
-                            };
-                            let tenant = requests[index].tenant;
+                        let members: Vec<(u64, &Request, Instant)> = indices
+                            .iter()
+                            .map(|&i| (i as u64, &requests[i], started))
+                            .collect();
+                        for (_, request, _) in &members {
                             shared.metrics.accepted.inc();
-                            shared.metrics.tenant(tenant.0).accepted.inc();
-                            if response.result.is_ok() {
-                                shared.metrics.completed.inc();
-                                shared.metrics.tenant(tenant.0).completed.inc();
-                            } else {
-                                shared.metrics.failed.inc();
-                            }
-                            slots.lock().expect("result slots")[index] = Some(response);
+                            shared.metrics.tenant(request.tenant.0).accepted.inc();
                         }
-                        shared.metrics.batches.inc();
-                        if members.len() > 1 {
-                            shared.metrics.coalesced.add(members.len() as u64);
-                        }
-                        shared.metrics.batch_service.record(started.elapsed());
+                        serve_batch(shared, &apim, &mut kernels, &members, |m, response| {
+                            slots.lock().expect("result slots")[indices[m]] = Some(response);
+                        });
                     }
                 }));
             }
@@ -466,52 +431,60 @@ fn worker_loop(shared: &Shared) {
     let mut kernels = KernelCache::default();
     while let Some(batch) = shared.intake.pop_batch(shared.config.max_batch) {
         shared.metrics.workers_busy.inc();
-        let started = Instant::now();
-        let mut memo = RunMemo::default();
-        let size = batch.len();
-        // Batch-shape metrics are published before any response slot is
-        // filled, so a snapshot taken by a client that has observed every
-        // response accounts for every batch too.
-        shared.metrics.batches.inc();
-        if size > 1 {
-            shared.metrics.coalesced.add(size as u64);
-        }
-        let members: Vec<&Request> = batch.iter().map(|job| &job.request).collect();
-        let mut pre = if shared.config.lane_batch {
-            lane_batch_pixels(&mut kernels, &members)
-        } else {
-            vec![None; size]
-        };
-        for (job, pre) in batch.iter().zip(pre.iter_mut()) {
-            let response = match pre.take() {
-                Some(output) => {
-                    respond_prebatched(shared, job.id, &job.request, job.submitted, output)
-                }
-                None => execute_job(
-                    shared,
-                    &apim,
-                    &mut memo,
-                    job.id,
-                    &job.request,
-                    job.submitted,
-                ),
-            };
-            // Metrics update before the slot fill: a client that observes
-            // the response must also observe its effect on the registry.
-            if response.result.is_ok() {
-                shared.metrics.completed.inc();
-                shared.metrics.tenant(job.request.tenant.0).completed.inc();
-            } else {
-                shared.metrics.failed.inc();
-            }
-            job.slot.fill(response);
-        }
-        shared.metrics.batch_service.record(started.elapsed());
+        let members: Vec<(u64, &Request, Instant)> = batch
+            .iter()
+            .map(|job| (job.id, &job.request, job.submitted))
+            .collect();
+        serve_batch(shared, &apim, &mut kernels, &members, |m, response| {
+            batch[m].slot.fill(response);
+        });
         // Gauge drops before `done`: anyone woken by a completed drain must
         // see an idle pool in the snapshot.
         shared.metrics.workers_busy.dec();
-        shared.intake.done(size);
+        shared.intake.done(batch.len());
     }
+}
+
+/// Answers one coalesced batch — the per-batch body of both
+/// [`worker_loop`] and [`Pool::run_all_with_config`]. Members are
+/// `(id, request, latency clock start)`. Same-`(app, mode)` pixels take
+/// the lane-batched pass; every other member runs [`execute_job`].
+///
+/// Batch-shape metrics are published before any response is delivered,
+/// so a snapshot taken by a client that has observed every response
+/// accounts for every batch too. Each response's completed/failed
+/// metrics are updated before `deliver(member, response)` hands it over:
+/// a client that observes the response also observes its effect on the
+/// registry.
+fn serve_batch(
+    shared: &Shared,
+    apim: &Apim,
+    kernels: &mut KernelCache,
+    members: &[(u64, &Request, Instant)],
+    mut deliver: impl FnMut(usize, Response),
+) {
+    let started = Instant::now();
+    shared.metrics.batches.inc();
+    if members.len() > 1 {
+        shared.metrics.coalesced.add(members.len() as u64);
+    }
+    let requests: Vec<&Request> = members.iter().map(|&(_, request, _)| request).collect();
+    let mut memo = RunMemo::default();
+    let pre = lane_batch_pixels(kernels, &requests);
+    for (m, (&(id, request, submitted), pre)) in members.iter().zip(pre).enumerate() {
+        let response = match pre {
+            Some(output) => respond_prebatched(shared, id, request, submitted, output),
+            None => execute_job(shared, apim, &mut memo, id, request, submitted),
+        };
+        if response.result.is_ok() {
+            shared.metrics.completed.inc();
+            shared.metrics.tenant(request.tenant.0).completed.inc();
+        } else {
+            shared.metrics.failed.inc();
+        }
+        deliver(m, response);
+    }
+    shared.metrics.batch_service.record(started.elapsed());
 }
 
 /// Executes one request with deadline checks and capped-exponential-backoff
@@ -735,12 +708,14 @@ impl KernelCache {
 }
 
 /// The lane-batched fast path over one coalesced batch: groups the batch's
-/// pixel jobs by `(app, mode)` and answers each group that fits a word
-/// (2..=64 pixels) with a single lane-batched pass of the worker's cached
-/// kernel — one pixel per bitline lane, so the whole group costs one
-/// serial pixel's cycles. Returns one pre-computed output slot per batch
-/// member; `None` slots (non-pixel jobs, singleton groups, any compile or
-/// run failure) fall back to the per-job serial path.
+/// pixel jobs by `(app, mode)` and answers each group of two or more with
+/// lane-batched passes of the worker's cached kernel — one pixel per
+/// bitline lane, so a pass costs one serial pixel's cycles. A group wider
+/// than a word splits into near-equal passes of at most 64 lanes (100
+/// pixels run as two 50-lane passes), so no pass is left a singleton.
+/// Returns one pre-computed output slot per batch member; `None` slots
+/// (non-pixel jobs, singleton groups, any compile or run failure) fall
+/// back to the per-job serial path.
 fn lane_batch_pixels(kernels: &mut KernelCache, requests: &[&Request]) -> Vec<Option<JobOutput>> {
     // Bitline lanes in one packed word — compile_batched's upper bound.
     const MAX_LANES: usize = 64;
@@ -756,34 +731,34 @@ fn lane_batch_pixels(kernels: &mut KernelCache, requests: &[&Request]) -> Vec<Op
         }
     }
     for ((app, _), members) in groups {
-        if !(2..=MAX_LANES).contains(&members.len()) {
-            continue;
-        }
-        let Some(program) = kernels.get(app, members.len()) else {
-            continue;
-        };
-        let Ok(bindings) = members
-            .iter()
-            .filter_map(|&i| match &requests[i].kind {
-                JobKind::Pixel { taps, .. } => Some(bind_taps(program.dag(), taps)),
-                _ => None,
-            })
-            .collect::<Result<Vec<_>, _>>()
-        else {
-            continue;
-        };
-        if bindings.len() != members.len() {
-            continue;
-        }
-        let Ok(report) = program.run(&bindings) else {
-            continue;
-        };
-        for (lane, &index) in members.iter().enumerate() {
-            out[index] = Some(JobOutput::Pixel {
-                value: report.values[lane],
-                cycles: report.cycles,
-                lanes: members.len(),
-            });
+        let passes = members.len().div_ceil(MAX_LANES);
+        for pass in members.chunks(members.len().div_ceil(passes)) {
+            if pass.len() < 2 {
+                continue;
+            }
+            let Some(program) = kernels.get(app, pass.len()) else {
+                continue;
+            };
+            let Ok(bindings) = pass
+                .iter()
+                .filter_map(|&i| match &requests[i].kind {
+                    JobKind::Pixel { taps, .. } => Some(bind_taps(program.dag(), taps)),
+                    _ => None,
+                })
+                .collect::<Result<Vec<_>, _>>()
+            else {
+                continue;
+            };
+            let Ok(report) = program.run(&bindings) else {
+                continue;
+            };
+            for (lane, &index) in pass.iter().enumerate() {
+                out[index] = Some(JobOutput::Pixel {
+                    value: report.values[lane],
+                    cycles: report.cycles,
+                    lanes: pass.len(),
+                });
+            }
         }
     }
     out

@@ -366,11 +366,21 @@ fn sharpen_pixels(count: usize) -> Vec<Request> {
         .collect()
 }
 
+/// Answers each request on its own: a singleton batch always takes the
+/// serial pixel path, one compiled pass per pixel — the oracle the
+/// lane-batched pool is compared against.
+fn run_one_by_one(pool: &Pool, requests: &[Request]) -> Vec<apim_serve::Response> {
+    requests
+        .iter()
+        .map(|r| pool.run_all(vec![r.clone()]).expect("run_all").remove(0))
+        .collect()
+}
+
 /// The lane-batched coalescer satellite gate: the same pixel workload run
-/// through the fast path (one `compile_batched` pass per popped batch) and
-/// the serial oracle (one compiled pass per pixel) yields bit-identical
-/// values and digests, the fast path actually lane-batches, and the whole
-/// batch finishes faster than the serial pool.
+/// through the fast path (one `compile_batched` pass per `(app, mode)`
+/// group) and the serial oracle (one compiled pass per pixel) yields
+/// bit-identical values and digests, the fast path actually lane-batches,
+/// and the whole batch finishes faster than the one-by-one oracle.
 #[test]
 fn lane_batched_pixels_match_serial_digests_and_cut_latency() {
     use apim_serve::{loadgen::output_digest, JobOutput};
@@ -383,22 +393,17 @@ fn lane_batched_pixels_match_serial_digests_and_cut_latency() {
             taps: vec![1 + i, 40 + i, 2 + i, 50 + i, 3 + i, 60 + i],
         }));
     }
-    let pool = |lane_batch| {
-        Pool::new(PoolConfig {
-            workers: 1,
-            max_batch: 64,
-            lane_batch,
-            ..PoolConfig::default()
-        })
-        .expect("valid pool")
-    };
-    let fast_pool = pool(true);
-    let slow_pool = pool(false);
+    let pool = Pool::new(PoolConfig {
+        workers: 1,
+        max_batch: 64,
+        ..PoolConfig::default()
+    })
+    .expect("valid pool");
     let started = Instant::now();
-    let fast = fast_pool.run_all(requests.clone()).expect("fast run_all");
+    let fast = pool.run_all(requests.clone()).expect("fast run_all");
     let fast_elapsed = started.elapsed();
     let started = Instant::now();
-    let slow = slow_pool.run_all(requests.clone()).expect("slow run_all");
+    let slow = run_one_by_one(&pool, &requests);
     let slow_elapsed = started.elapsed();
 
     assert_eq!(fast.len(), requests.len());
@@ -493,15 +498,18 @@ fn relaxed_pixels_answer_the_exact_value() {
         .iter()
         .map(|r| r.clone().mode(PrecisionMode::LastStage { relax_bits: 8 }))
         .collect();
-    for lane_batch in [true, false] {
-        let pool = Pool::new(PoolConfig {
-            workers: 1,
-            lane_batch,
-            ..PoolConfig::default()
-        })
-        .expect("valid pool");
-        let requests: Vec<Request> = exact.iter().chain(&relaxed).cloned().collect();
-        let responses = pool.run_all(requests).expect("run_all");
+    let pool = Pool::new(PoolConfig {
+        workers: 1,
+        ..PoolConfig::default()
+    })
+    .expect("valid pool");
+    let requests: Vec<Request> = exact.iter().chain(&relaxed).cloned().collect();
+    for one_by_one in [false, true] {
+        let responses = if one_by_one {
+            run_one_by_one(&pool, &requests)
+        } else {
+            pool.run_all(requests.clone()).expect("run_all")
+        };
         let values: Vec<u64> = responses
             .iter()
             .map(|r| match &r.result {
@@ -510,10 +518,46 @@ fn relaxed_pixels_answer_the_exact_value() {
             })
             .collect();
         let (exact_values, relaxed_values) = values.split_at(8);
-        assert_eq!(exact_values, relaxed_values, "lane_batch {lane_batch}");
+        assert_eq!(exact_values, relaxed_values, "one by one: {one_by_one}");
         for (i, value) in exact_values.iter().enumerate() {
             let i = i as u64;
             assert_eq!(*value, 5 * (100 + i) - (3 + i + 5 + i + 7 + i + 11 + i));
+        }
+    }
+}
+
+/// A same-`(app, mode)` group wider than a word still lane-batches: 100
+/// sharpen pixels through `run_all` run as two 50-lane passes, and every
+/// value equals the pure-integer evaluator's.
+#[test]
+fn pixel_groups_wider_than_a_word_split_into_lane_passes() {
+    use apim_serve::JobOutput;
+
+    let pool = Pool::new(PoolConfig {
+        workers: 1,
+        ..PoolConfig::default()
+    })
+    .expect("valid pool");
+    let requests = sharpen_pixels(100);
+    let responses = pool.run_all(requests.clone()).expect("run_all");
+    let dag = apim_workloads::dags::sharpen_dag();
+    for (i, (request, response)) in requests.iter().zip(&responses).enumerate() {
+        let JobKind::Pixel { taps, .. } = &request.kind else {
+            unreachable!("sharpen_pixels builds pixel requests")
+        };
+        let inputs: std::collections::HashMap<String, u64> = dag
+            .inputs()
+            .iter()
+            .zip(taps)
+            .map(|(name, &tap)| (name.to_string(), tap))
+            .collect();
+        let expected = apim_compile::evaluate(&dag, &inputs).expect("taps bind every input");
+        match &response.result {
+            Ok(JobOutput::Pixel { value, lanes, .. }) => {
+                assert_eq!(*value, expected, "pixel {i}");
+                assert_eq!(*lanes, 50, "pixel {i}");
+            }
+            other => panic!("pixel {i} failed: {other:?}"),
         }
     }
 }
