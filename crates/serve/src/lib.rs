@@ -16,11 +16,11 @@
 //!   placed onto workers with the architecture layer's LPT
 //!   [`Schedule`](apim_arch::scheduler::Schedule) — host threads are
 //!   scheduled exactly like the device's block pairs. Same-kernel
-//!   [`JobKind::Pixel`] batches that fit a word go further: one
-//!   lane-batched pass answers the whole batch, one pixel per bitline
-//!   lane (DESIGN.md §16), with per-pixel serial execution as the
-//!   fallback and differential oracle. Each worker compiles a kernel
-//!   once per `(app, lanes)` and keeps it; every pass is still linted.
+//!   [`JobKind::Pixel`] requests go further: one lane-batched pass
+//!   answers up to 64 of them, one pixel per bitline lane (DESIGN.md
+//!   §16); a lone pixel runs the 1-lane program, which is the serial
+//!   one. Each worker compiles a kernel once per `(app, lanes)` and
+//!   keeps it; every pass is still linted.
 //! * **Deadlines and retries** — each request may carry a deadline;
 //!   failed attempts (simulator errors, injected faults, worker panics)
 //!   retry with capped exponential backoff before surfacing a structured

@@ -147,8 +147,8 @@ pub fn output_digest(output: &JobOutput) -> u64 {
             .map(|r| fold(r.product as u64))
             .fold(0, |acc, h| acc ^ h),
         JobOutput::Compile { value, cycles, .. } => fold(*value) ^ fold(*cycles),
-        // Value only: cycles/lanes differ between the lane-batched and
-        // serial paths, and the digest must be identical across both.
+        // Value only: cycles and lanes depend on how many pixels shared
+        // a pass, and the digest must not depend on batching.
         JobOutput::Pixel { value, .. } => fold(*value),
         JobOutput::Echo(payload) => fold(*payload),
     }

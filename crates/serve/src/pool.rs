@@ -2,15 +2,18 @@
 //!
 //! Each worker thread owns its own [`Apim`] instance (the simulator is a
 //! cheap value type, so sharding it removes all cross-worker contention on
-//! the hot path); work arrives as coalesced batches from the shared
-//! [`Intake`](crate::queue::Intake) queue. Execution attempts that fail —
-//! simulator errors, injected faults, worker panics — are retried with
-//! capped exponential backoff while the request's deadline allows, then
-//! surfaced as a structured [`ServeError`].
+//! the hot path) and its own cache of compiled pixel kernels; work arrives
+//! as coalesced batches from the shared [`Intake`](crate::queue::Intake)
+//! queue. A batch splits into units, each answered by one execution:
+//! identical runs once, same-kernel pixels as one lane-batched pass, any
+//! other job alone. Every unit takes the same envelope: execution attempts
+//! that fail — simulator errors, injected faults, worker panics — are
+//! retried with capped exponential backoff while each member's deadline
+//! allows, then surfaced as a structured [`ServeError`].
 
 use crate::metrics::Metrics;
 use crate::queue::{Intake, Job};
-use crate::request::{JobKind, JobOutput, Request, Response, ServeError};
+use crate::request::{pixel_arity, JobKind, JobOutput, Request, Response, ServeError};
 use apim::{Apim, ApimConfig, ApimError, App, PrecisionMode};
 use apim_compile::BatchCompiledProgram;
 use std::collections::hash_map::Entry;
@@ -22,15 +25,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Deterministic fault injection for chaos-testing the retry and
-/// panic-isolation paths. Attempt numbers are global across the pool.
+/// panic-isolation paths. It counts unit attempts — one execution that
+/// answers a whole unit of a batch (identical runs, one lane-batched pixel
+/// pass, or a single job) — and the count is global across the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultPlan {
     /// No injected faults.
     #[default]
     None,
-    /// Every `n`-th execution attempt returns a synthetic failure.
+    /// Every `n`-th unit attempt returns a synthetic failure.
     FailEvery(u64),
-    /// Every `n`-th execution attempt panics inside the worker.
+    /// Every `n`-th unit attempt panics inside the worker.
     PanicEvery(u64),
 }
 
@@ -415,13 +420,6 @@ fn estimate_cycles(apim: &Apim, request: &Request) -> u64 {
     }
 }
 
-/// Within one batch, identical `(app, dataset, mode)` runs are computed
-/// once — the setup amortization batching exists for.
-#[derive(Default)]
-struct RunMemo {
-    runs: HashMap<(App, u64, PrecisionMode), Result<JobOutput, ServeError>>,
-}
-
 fn worker_loop(shared: &Shared) {
     // Pool::new validated the config; the early return is unreachable in
     // practice.
@@ -447,8 +445,8 @@ fn worker_loop(shared: &Shared) {
 
 /// Answers one coalesced batch — the per-batch body of both
 /// [`worker_loop`] and [`Pool::run_all_with_config`]. Members are
-/// `(id, request, latency clock start)`. Same-`(app, mode)` pixels take
-/// the lane-batched pass; every other member runs [`execute_job`].
+/// `(id, request, latency clock start)`; the batch splits into [`units`],
+/// each answered by [`serve_unit`].
 ///
 /// Batch-shape metrics are published before any response is delivered,
 /// so a snapshot taken by a client that has observed every response
@@ -468,59 +466,119 @@ fn serve_batch(
     if members.len() > 1 {
         shared.metrics.coalesced.add(members.len() as u64);
     }
-    let requests: Vec<&Request> = members.iter().map(|&(_, request, _)| request).collect();
-    let mut memo = RunMemo::default();
-    let pre = lane_batch_pixels(kernels, &requests);
-    for (m, (&(id, request, submitted), pre)) in members.iter().zip(pre).enumerate() {
-        let response = match pre {
-            Some(output) => respond_prebatched(shared, id, request, submitted, output),
-            None => execute_job(shared, apim, &mut memo, id, request, submitted),
+    for unit in units(members) {
+        serve_unit(shared, apim, kernels, members, unit, &mut deliver);
+    }
+    shared.metrics.batch_service.record(started.elapsed());
+}
+
+/// Splits a batch into units, each answered by one execution: the
+/// same-`(app, dataset_bytes, mode)` runs (computed once — the setup
+/// amortization batching exists for); the well-formed pixels of one
+/// `(app, mode)`, in near-equal lane passes of at most 64 lanes (100
+/// pixels run as two 50-lane passes); and every other job alone,
+/// including a pixel whose tap count does not fit its kernel. Units hold
+/// member indices.
+fn units(members: &[(u64, &Request, Instant)]) -> Vec<Vec<usize>> {
+    // Bitline lanes in one packed word — compile_batched's upper bound.
+    const MAX_LANES: usize = 64;
+    let mut units = Vec::new();
+    // Shared units by key; pixels carry no dataset size.
+    let mut groups: Vec<(_, Vec<usize>)> = Vec::new();
+    // Tap counts by app: one kernel DAG build per batch, not per pixel.
+    let mut arity = HashMap::new();
+    for (index, &(_, request, _)) in members.iter().enumerate() {
+        let key = match &request.kind {
+            JobKind::Run { app, dataset_bytes } => (*app, Some(*dataset_bytes), request.mode),
+            JobKind::Pixel { app, taps }
+                if *arity.entry(*app).or_insert_with(|| pixel_arity(*app)) == Some(taps.len()) =>
+            {
+                (*app, None, request.mode)
+            }
+            _ => {
+                units.push(vec![index]);
+                continue;
+            }
         };
-        if response.result.is_ok() {
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, group)) => group.push(index),
+            None => groups.push((key, vec![index])),
+        }
+    }
+    for ((_, dataset_bytes, _), group) in groups {
+        if dataset_bytes.is_some() {
+            units.push(group);
+            continue;
+        }
+        let passes = group.len().div_ceil(MAX_LANES);
+        units.extend(
+            group
+                .chunks(group.len().div_ceil(passes))
+                .map(<[usize]>::to_vec),
+        );
+    }
+    units
+}
+
+/// Answers every member of one unit: per-member deadline checks, then
+/// execution attempts with capped-exponential-backoff retries, recording
+/// latency, retry and outcome metrics. A member whose deadline passes
+/// before an attempt leaves the unit with [`ServeError::DeadlineExceeded`];
+/// the rest carry on.
+fn serve_unit(
+    shared: &Shared,
+    apim: &Apim,
+    kernels: &mut KernelCache,
+    members: &[(u64, &Request, Instant)],
+    mut live: Vec<usize>,
+    deliver: &mut impl FnMut(usize, Response),
+) {
+    let mut respond = |m: usize, attempts: u32, result: Result<JobOutput, ServeError>| {
+        let (id, request, submitted) = members[m];
+        let latency = submitted.elapsed();
+        shared.metrics.latency.record(latency);
+        if result.is_ok() {
             shared.metrics.completed.inc();
             shared.metrics.tenant(request.tenant.0).completed.inc();
         } else {
             shared.metrics.failed.inc();
         }
-        deliver(m, response);
-    }
-    shared.metrics.batch_service.record(started.elapsed());
-}
-
-/// Executes one request with deadline checks and capped-exponential-backoff
-/// retries, recording latency and retry metrics.
-fn execute_job(
-    shared: &Shared,
-    apim: &Apim,
-    memo: &mut RunMemo,
-    id: u64,
-    request: &Request,
-    submitted: Instant,
-) -> Response {
-    let deadline = request
-        .deadline
-        .or(shared.config.default_deadline)
-        .map(|d| submitted + d);
+        deliver(
+            m,
+            Response {
+                id,
+                tenant: request.tenant,
+                attempts,
+                latency,
+                result,
+            },
+        );
+    };
     let max_attempts = 1 + shared.config.max_retries;
     let mut attempts = 0;
     let mut last_error = ServeError::WorkerPanicked;
     while attempts < max_attempts {
-        if deadline.is_some_and(|d| Instant::now() > d) {
-            last_error = ServeError::DeadlineExceeded;
-            break;
+        let now = Instant::now();
+        live.retain(|&m| {
+            let (_, request, submitted) = members[m];
+            let deadline = request.deadline.or(shared.config.default_deadline);
+            let expired = deadline.is_some_and(|d| now > submitted + d);
+            if expired {
+                respond(m, attempts, Err(ServeError::DeadlineExceeded));
+            }
+            !expired
+        });
+        if live.is_empty() {
+            return;
         }
         attempts += 1;
-        match attempt(shared, apim, memo, request) {
-            Ok(output) => {
-                let latency = submitted.elapsed();
-                shared.metrics.latency.record(latency);
-                return Response {
-                    id,
-                    tenant: request.tenant,
-                    attempts,
-                    latency,
-                    result: Ok(output),
-                };
+        let requests: Vec<&Request> = live.iter().map(|&m| members[m].1).collect();
+        match attempt(shared, apim, kernels, &requests) {
+            Ok(outputs) => {
+                for (&m, output) in live.iter().zip(outputs) {
+                    respond(m, attempts, Ok(output));
+                }
+                return;
             }
             Err(error) => {
                 last_error = error;
@@ -536,34 +594,27 @@ fn execute_job(
             }
         }
     }
-    let latency = submitted.elapsed();
-    shared.metrics.latency.record(latency);
-    Response {
-        id,
-        tenant: request.tenant,
-        attempts,
-        latency,
-        result: Err(match last_error {
-            ServeError::Failed { reason, .. } => ServeError::Failed { reason, attempts },
-            other => other,
-        }),
+    let error = match last_error {
+        ServeError::Failed { reason, .. } => ServeError::Failed { reason, attempts },
+        other => other,
+    };
+    for m in live {
+        respond(m, attempts, Err(error.clone()));
     }
 }
 
-/// One execution attempt, with injected faults and panic isolation.
+/// One execution attempt of a unit, with injected faults and panic
+/// isolation: one output per request, in order.
 fn attempt(
     shared: &Shared,
     apim: &Apim,
-    memo: &mut RunMemo,
-    request: &Request,
-) -> Result<JobOutput, ServeError> {
+    kernels: &mut KernelCache,
+    unit: &[&Request],
+) -> Result<Vec<JobOutput>, ServeError> {
     let attempt_number = shared.attempt_counter.fetch_add(1, Ordering::Relaxed) + 1;
     match shared.config.fault {
         FaultPlan::FailEvery(n) if n > 0 && attempt_number.is_multiple_of(n) => {
-            return Err(ServeError::Failed {
-                reason: "injected fault".into(),
-                attempts: 0,
-            });
+            return Err(fail("injected fault"));
         }
         _ => {}
     }
@@ -573,48 +624,41 @@ fn attempt(
         if panic_here {
             panic!("injected panic");
         }
-        match &request.kind {
-            JobKind::Run { app, dataset_bytes } => {
-                let key = (*app, *dataset_bytes, request.mode);
-                if let Some(cached) = memo.runs.get(&key) {
-                    return cached.clone();
-                }
-                let result = apim
-                    .run_with_mode(*app, *dataset_bytes, request.mode)
-                    .map(|report| JobOutput::Run(Box::new(report)))
-                    .map_err(|e| ServeError::Failed {
-                        reason: e.to_string(),
-                        attempts: 0,
-                    });
-                memo.runs.insert(key, result.clone());
-                result
-            }
-            JobKind::Multiply { a, b } => {
-                Ok(JobOutput::Multiply(apim.multiply(*a, *b, request.mode)))
-            }
+        let request = unit[0];
+        let output = match &request.kind {
+            JobKind::Run { app, dataset_bytes } => apim
+                .run_with_mode(*app, *dataset_bytes, request.mode)
+                .map(|report| JobOutput::Run(Box::new(report)))
+                .map_err(fail)?,
+            JobKind::Multiply { a, b } => JobOutput::Multiply(apim.multiply(*a, *b, request.mode)),
             JobKind::Mac { pairs } => {
                 let (reports, batch) = apim.multiply_batch(pairs, request.mode);
-                Ok(JobOutput::Mac { reports, batch })
+                JobOutput::Mac { reports, batch }
             }
-            JobKind::Compile { source } => run_compiled(source),
-            JobKind::Pixel { app, taps } => run_pixel_serial(*app, taps),
-            JobKind::Echo { payload } => Ok(JobOutput::Echo(*payload)),
-        }
+            JobKind::Compile { source } => run_compiled(source)?,
+            JobKind::Pixel { app, .. } => return run_pixels(kernels.get(*app, unit.len())?, unit),
+            JobKind::Echo { payload } => JobOutput::Echo(*payload),
+        };
+        Ok(vec![output; unit.len()])
     }))
     .unwrap_or(Err(ServeError::WorkerPanicked))
+}
+
+/// A [`ServeError::Failed`] for `reason`; the envelope fills in attempts.
+fn fail(reason: impl ToString) -> ServeError {
+    ServeError::Failed {
+        reason: reason.to_string(),
+        attempts: 0,
+    }
 }
 
 /// Compiles and gate-executes one expression program. Unbound inputs
 /// default to their declaration index + 1 so open programs still serve.
 fn run_compiled(source: &str) -> Result<JobOutput, ServeError> {
-    let fail = |reason: String| ServeError::Failed {
-        reason,
-        attempts: 0,
-    };
     let program =
         apim_compile::parse_program(source).map_err(|e| fail(format!("invalid program: {e}")))?;
     let compiled = apim_compile::compile(&program.dag, &apim_compile::CompileOptions::default())
-        .map_err(|e| fail(e.to_string()))?;
+        .map_err(fail)?;
     let inputs: HashMap<String, u64> = compiled
         .dag()
         .inputs()
@@ -622,7 +666,7 @@ fn run_compiled(source: &str) -> Result<JobOutput, ServeError> {
         .enumerate()
         .map(|(i, name)| (name.to_string(), i as u64 + 1))
         .collect();
-    let report = compiled.run(&inputs).map_err(|e| fail(e.to_string()))?;
+    let report = compiled.run(&inputs).map_err(fail)?;
     Ok(JobOutput::Compile {
         value: report.value,
         cycles: report.cycles,
@@ -630,8 +674,9 @@ fn run_compiled(source: &str) -> Result<JobOutput, ServeError> {
     })
 }
 
-/// The compiled pixel-kernel DAG behind a [`JobKind::Pixel`] app.
-fn kernel_dag(app: App) -> Option<apim_compile::Dag> {
+/// The compiled pixel-kernel DAG behind a [`JobKind::Pixel`] app — the one
+/// owner of each kernel's taps.
+pub(crate) fn kernel_dag(app: App) -> Option<apim_compile::Dag> {
     match app {
         App::Sharpen => Some(apim_workloads::dags::sharpen_dag()),
         App::Sobel => Some(apim_workloads::dags::sobel_gradient_dag()),
@@ -640,16 +685,14 @@ fn kernel_dag(app: App) -> Option<apim_compile::Dag> {
 }
 
 /// Binds one pixel's taps to the kernel DAG's inputs, declaration order.
-fn bind_taps(
-    dag: &apim_compile::Dag,
-    taps: &[u64],
-) -> Result<std::collections::HashMap<String, u64>, ServeError> {
+fn bind_taps(dag: &apim_compile::Dag, taps: &[u64]) -> Result<HashMap<String, u64>, ServeError> {
     let inputs = dag.inputs();
     if taps.len() != inputs.len() {
-        return Err(ServeError::Failed {
-            reason: format!("pixel needs {} taps, got {}", inputs.len(), taps.len()),
-            attempts: 0,
-        });
+        return Err(fail(format!(
+            "pixel needs {} taps, got {}",
+            inputs.len(),
+            taps.len()
+        )));
     }
     Ok(inputs
         .iter()
@@ -658,129 +701,56 @@ fn bind_taps(
         .collect())
 }
 
-/// The serial pixel path: one compiled pass per pixel. This is both the
-/// fallback when a batch cannot lane-batch and the differential oracle the
-/// fast path is tested against.
-fn run_pixel_serial(app: App, taps: &[u64]) -> Result<JobOutput, ServeError> {
-    let fail = |reason: String| ServeError::Failed {
-        reason,
-        attempts: 0,
-    };
-    let dag =
-        kernel_dag(app).ok_or_else(|| fail(format!("`{}` has no pixel kernel", app.name())))?;
-    let compiled = apim_compile::compile(&dag, &apim_compile::CompileOptions::default())
-        .map_err(|e| fail(e.to_string()))?;
-    let report = compiled
-        .run(&bind_taps(&dag, taps)?)
-        .map_err(|e| fail(e.to_string()))?;
-    Ok(JobOutput::Pixel {
-        value: report.value,
-        cycles: report.cycles,
-        lanes: 1,
-    })
+/// Answers a pixel unit with one pass of `program`, one pixel per
+/// bitline lane: every pixel is charged the pass's cycles.
+fn run_pixels(
+    program: &BatchCompiledProgram,
+    unit: &[&Request],
+) -> Result<Vec<JobOutput>, ServeError> {
+    let bindings = unit
+        .iter()
+        .filter_map(|request| match &request.kind {
+            JobKind::Pixel { taps, .. } => Some(bind_taps(program.dag(), taps)),
+            _ => None,
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let report = program.run(&bindings).map_err(fail)?;
+    Ok(report
+        .values
+        .into_iter()
+        .map(|value| JobOutput::Pixel {
+            value,
+            cycles: report.cycles,
+            lanes: unit.len(),
+        })
+        .collect())
 }
 
-/// One worker's lane-batched pixel kernels, keyed by `(app, lanes)`: each
-/// key runs [`apim_compile::compile_batched`] once per worker, every pass
-/// after that reuses the program (and still records and lints its own
-/// trace). Pixel kernels are exact in every mode, so the key carries no
-/// mode. At most 2 pixel apps × 64 lane counts; failed compiles are not
-/// cached. Each worker owns its cache, so it takes no lock.
+/// One worker's pixel kernels, keyed by `(app, lanes)`: each key runs
+/// [`apim_compile::compile_batched`] once per worker, every pass after that
+/// reuses the program (and still records and lints its own trace). One
+/// lane is the serial program. Pixel kernels are exact in every mode, so
+/// the key carries no mode. At most 2 pixel apps × 64 lane counts; failed
+/// compiles are not cached. Each worker owns its cache, so it takes no
+/// lock.
 #[derive(Default)]
 struct KernelCache {
     programs: HashMap<(App, usize), BatchCompiledProgram>,
 }
 
 impl KernelCache {
-    /// The `lanes`-lane kernel of `app`, compiled on first use; `None` for
-    /// apps without a pixel kernel or a failed compile.
-    fn get(&mut self, app: App, lanes: usize) -> Option<&BatchCompiledProgram> {
+    /// The `lanes`-lane kernel of `app`, compiled on first use.
+    fn get(&mut self, app: App, lanes: usize) -> Result<&BatchCompiledProgram, ServeError> {
         match self.programs.entry((app, lanes)) {
-            Entry::Occupied(entry) => Some(entry.into_mut()),
+            Entry::Occupied(entry) => Ok(entry.into_mut()),
             Entry::Vacant(entry) => {
-                let dag = kernel_dag(app)?;
+                let dag = kernel_dag(app)
+                    .ok_or_else(|| fail(format!("`{}` has no pixel kernel", app.name())))?;
                 let options = apim_compile::CompileOptions::default();
-                let program = apim_compile::compile_batched(&dag, &options, lanes).ok()?;
-                Some(entry.insert(program))
+                let program = apim_compile::compile_batched(&dag, &options, lanes).map_err(fail)?;
+                Ok(entry.insert(program))
             }
         }
-    }
-}
-
-/// The lane-batched fast path over one coalesced batch: groups the batch's
-/// pixel jobs by `(app, mode)` and answers each group of two or more with
-/// lane-batched passes of the worker's cached kernel — one pixel per
-/// bitline lane, so a pass costs one serial pixel's cycles. A group wider
-/// than a word splits into near-equal passes of at most 64 lanes (100
-/// pixels run as two 50-lane passes), so no pass is left a singleton.
-/// Returns one pre-computed output slot per batch member; `None` slots
-/// (non-pixel jobs, singleton groups, any compile or run failure) fall
-/// back to the per-job serial path.
-fn lane_batch_pixels(kernels: &mut KernelCache, requests: &[&Request]) -> Vec<Option<JobOutput>> {
-    // Bitline lanes in one packed word — compile_batched's upper bound.
-    const MAX_LANES: usize = 64;
-    let mut out: Vec<Option<JobOutput>> = vec![None; requests.len()];
-    let mut groups: Vec<((App, PrecisionMode), Vec<usize>)> = Vec::new();
-    for (index, request) in requests.iter().enumerate() {
-        if let JobKind::Pixel { app, .. } = request.kind {
-            let key = (app, request.mode);
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, members)) => members.push(index),
-                None => groups.push((key, vec![index])),
-            }
-        }
-    }
-    for ((app, _), members) in groups {
-        let passes = members.len().div_ceil(MAX_LANES);
-        for pass in members.chunks(members.len().div_ceil(passes)) {
-            if pass.len() < 2 {
-                continue;
-            }
-            let Some(program) = kernels.get(app, pass.len()) else {
-                continue;
-            };
-            let Ok(bindings) = pass
-                .iter()
-                .filter_map(|&i| match &requests[i].kind {
-                    JobKind::Pixel { taps, .. } => Some(bind_taps(program.dag(), taps)),
-                    _ => None,
-                })
-                .collect::<Result<Vec<_>, _>>()
-            else {
-                continue;
-            };
-            let Ok(report) = program.run(&bindings) else {
-                continue;
-            };
-            for (lane, &index) in pass.iter().enumerate() {
-                out[index] = Some(JobOutput::Pixel {
-                    value: report.values[lane],
-                    cycles: report.cycles,
-                    lanes: pass.len(),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Wraps one lane-batched output as a [`Response`]. The fast path has no
-/// retries: any failure already fell back to [`execute_job`].
-fn respond_prebatched(
-    shared: &Shared,
-    id: u64,
-    request: &Request,
-    submitted: Instant,
-    output: JobOutput,
-) -> Response {
-    let latency = submitted.elapsed();
-    shared.metrics.latency.record(latency);
-    Response {
-        id,
-        tenant: request.tenant,
-        attempts: 1,
-        latency,
-        result: Ok(output),
     }
 }
 
@@ -802,7 +772,7 @@ mod tests {
         let mut kernels = KernelCache::default();
         assert_eq!(kernels.get(App::Sobel, 8).unwrap().lanes(), 8);
         assert_eq!(kernels.get(App::Sobel, 64).unwrap().lanes(), 64);
-        assert!(kernels.get(App::Sharpen, 8).is_some());
+        assert!(kernels.get(App::Sharpen, 8).is_ok());
         assert_eq!(kernels.programs.len(), 3);
     }
 
@@ -811,11 +781,38 @@ mod tests {
         let mut kernels = KernelCache::default();
         // 65 lanes overflow a packed word; Fft has no pixel kernel.
         for _ in 0..2 {
-            assert!(kernels.get(App::Sharpen, 65).is_none());
-            assert!(kernels.get(App::Fft, 8).is_none());
+            assert!(kernels.get(App::Sharpen, 65).is_err());
+            assert_eq!(
+                kernels.get(App::Fft, 8).unwrap_err(),
+                fail("`FFT` has no pixel kernel")
+            );
             assert!(kernels.programs.is_empty(), "a failure was cached");
         }
-        assert!(kernels.get(App::Sharpen, 64).is_some());
+        assert!(kernels.get(App::Sharpen, 64).is_ok());
         assert_eq!(kernels.programs.len(), 1);
+    }
+
+    #[test]
+    fn one_lane_kernels_are_the_serial_programs() {
+        let mut kernels = KernelCache::default();
+        for (app, taps, serial_cycles) in [
+            (App::Sharpen, vec![100, 3, 5, 7, 11], Some(3882)),
+            (App::Sobel, vec![1, 40, 2, 50, 3, 60], None),
+        ] {
+            let dag = kernel_dag(app).unwrap();
+            let inputs = bind_taps(&dag, &taps).unwrap();
+            let serial = apim_compile::compile(&dag, &apim_compile::CompileOptions::default())
+                .unwrap()
+                .run(&inputs)
+                .unwrap();
+            let program = kernels.get(app, 1).unwrap();
+            assert_eq!(program.lanes(), 1);
+            let report = program.run(&[inputs]).unwrap();
+            assert_eq!(report.values, [serial.value], "{app:?}");
+            assert_eq!(report.cycles, serial.cycles, "{app:?}");
+            if let Some(cycles) = serial_cycles {
+                assert_eq!(report.cycles, cycles, "{app:?}");
+            }
+        }
     }
 }

@@ -50,10 +50,12 @@ pub enum JobKind {
     /// kernel DAG's inputs in declaration order (sharpen: `c n w e s`;
     /// Sobel: `l0 r0 l1 r1 l2 r2`). Pixel kernels are exact in every
     /// mode: their DAGs fix exact products, so the request's `mode` only
-    /// sets the batch key and never changes the answer. Same-`(app, mode)`
-    /// pixel batches are the lane-batched fast path: the pool runs a whole
-    /// popped batch as one microprogram pass of a `compile_batched` kernel
-    /// it compiled once, one pixel per bitline lane.
+    /// sets the batch key and never changes the answer. The pool answers
+    /// the same-`(app, mode)` pixels of a popped batch with one
+    /// microprogram pass of a `compile_batched` kernel it compiled once,
+    /// one pixel per bitline lane (at most 64 per pass); a lone pixel runs
+    /// the 1-lane program, which is the serial one. A pixel whose tap count
+    /// does not fit its kernel fails alone.
     Pixel {
         /// The kernel ([`App::Sharpen`] or [`App::Sobel`]).
         app: App,
@@ -82,14 +84,10 @@ impl JobKind {
     }
 }
 
-/// Tap count of a [`JobKind::Pixel`]-servable kernel, `None` for apps
-/// without a pixel-level compiled DAG.
+/// Tap count of a [`JobKind::Pixel`]-servable kernel (its DAG's inputs),
+/// `None` for apps without a pixel-level compiled DAG.
 pub(crate) fn pixel_arity(app: App) -> Option<usize> {
-    match app {
-        App::Sharpen => Some(5),
-        App::Sobel => Some(6),
-        _ => None,
-    }
+    crate::pool::kernel_dag(app).map(|dag| dag.inputs().len())
 }
 
 /// One unit of work submitted to the pool.
@@ -310,8 +308,8 @@ pub enum JobOutput {
         /// Crossbar cycles charged to the pass that computed it (shared by
         /// every pixel of a lane-batched pass).
         cycles: u64,
-        /// Lanes in the pass that answered this pixel: `1` on the serial
-        /// path, the batch size on the lane-batched fast path.
+        /// Lanes in the pass that answered this pixel: the pixels in that
+        /// pass, `1` when it ran alone.
         lanes: usize,
     },
     /// Result of a [`JobKind::Echo`]: the payload, unchanged.

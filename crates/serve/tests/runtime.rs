@@ -366,21 +366,48 @@ fn sharpen_pixels(count: usize) -> Vec<Request> {
         .collect()
 }
 
-/// Answers each request on its own: a singleton batch always takes the
-/// serial pixel path, one compiled pass per pixel — the oracle the
-/// lane-batched pool is compared against.
-fn run_one_by_one(pool: &Pool, requests: &[Request]) -> Vec<apim_serve::Response> {
+/// The serial oracle, independent of the pool: each pixel compiled on its
+/// own with `apim_compile::compile` and gate-executed in one serial pass,
+/// its value checked against the pure-integer evaluator.
+fn compiled_oracle(requests: &[Request]) -> Vec<apim_serve::JobOutput> {
     requests
         .iter()
-        .map(|r| pool.run_all(vec![r.clone()]).expect("run_all").remove(0))
+        .map(|request| {
+            let JobKind::Pixel { app, taps } = &request.kind else {
+                panic!("the oracle answers pixels only: {request:?}")
+            };
+            let dag = match app {
+                App::Sharpen => apim_workloads::dags::sharpen_dag(),
+                App::Sobel => apim_workloads::dags::sobel_gradient_dag(),
+                other => panic!("{other:?} has no pixel kernel"),
+            };
+            let inputs: std::collections::HashMap<String, u64> = dag
+                .inputs()
+                .iter()
+                .zip(taps)
+                .map(|(name, &tap)| (name.to_string(), tap))
+                .collect();
+            let options = apim_compile::CompileOptions::default();
+            let report = apim_compile::compile(&dag, &options)
+                .expect("pixel kernel compiles")
+                .run(&inputs)
+                .expect("pixel kernel runs");
+            let expected = apim_compile::evaluate(&dag, &inputs).expect("taps bind every input");
+            assert_eq!(report.value, expected, "gate level vs evaluator");
+            apim_serve::JobOutput::Pixel {
+                value: report.value,
+                cycles: report.cycles,
+                lanes: 1,
+            }
+        })
         .collect()
 }
 
 /// The lane-batched coalescer satellite gate: the same pixel workload run
-/// through the fast path (one `compile_batched` pass per `(app, mode)`
-/// group) and the serial oracle (one compiled pass per pixel) yields
-/// bit-identical values and digests, the fast path actually lane-batches,
-/// and the whole batch finishes faster than the one-by-one oracle.
+/// through the pool (one `compile_batched` pass per `(app, mode)` group)
+/// and the serial oracle (one compiled pass per pixel, outside the pool)
+/// yields bit-identical values and digests, the pool actually
+/// lane-batches, and the whole batch finishes faster than the oracle.
 #[test]
 fn lane_batched_pixels_match_serial_digests_and_cut_latency() {
     use apim_serve::{loadgen::output_digest, JobOutput};
@@ -403,13 +430,13 @@ fn lane_batched_pixels_match_serial_digests_and_cut_latency() {
     let fast = pool.run_all(requests.clone()).expect("fast run_all");
     let fast_elapsed = started.elapsed();
     let started = Instant::now();
-    let slow = run_one_by_one(&pool, &requests);
+    let slow = compiled_oracle(&requests);
     let slow_elapsed = started.elapsed();
 
     assert_eq!(fast.len(), requests.len());
-    for (index, (f, s)) in fast.iter().zip(&slow).enumerate() {
-        let (fast_out, slow_out) = match (&f.result, &s.result) {
-            (Ok(f), Ok(s)) => (f, s),
+    for (index, (f, slow_out)) in fast.iter().zip(&slow).enumerate() {
+        let fast_out = match &f.result {
+            Ok(f) => f,
             other => panic!("pixel {index} failed: {other:?}"),
         };
         assert_eq!(
@@ -440,13 +467,13 @@ fn lane_batched_pixels_match_serial_digests_and_cut_latency() {
         }
     }
     // Spot-check the oracle itself against the closed-form kernel.
-    match &slow[0].result {
-        Ok(JobOutput::Pixel { value, .. }) => {
+    match &slow[0] {
+        JobOutput::Pixel { value, .. } => {
             assert_eq!(*value, 5 * 100 - (3 + 5 + 7 + 11));
         }
         other => panic!("unexpected oracle output {other:?}"),
     }
-    // One compiled pass per batch vs one per pixel: the fast pool must win
+    // One compiled pass per batch vs one per pixel: the pool must win
     // outright, 36 compile+verify cycles against 2.
     assert!(
         fast_elapsed < slow_elapsed,
@@ -487,7 +514,7 @@ fn submitted_pixel_batches_answer_every_lane() {
 }
 
 /// Pixel kernels are exact in every mode: a relaxed pixel answers the
-/// exact value, lane-batched or serial.
+/// exact value, through the pool or the serial oracle.
 #[test]
 fn relaxed_pixels_answer_the_exact_value() {
     use apim::PrecisionMode;
@@ -504,21 +531,25 @@ fn relaxed_pixels_answer_the_exact_value() {
     })
     .expect("valid pool");
     let requests: Vec<Request> = exact.iter().chain(&relaxed).cloned().collect();
-    for one_by_one in [false, true] {
-        let responses = if one_by_one {
-            run_one_by_one(&pool, &requests)
+    for oracle in [false, true] {
+        let outputs = if oracle {
+            compiled_oracle(&requests)
         } else {
-            pool.run_all(requests.clone()).expect("run_all")
+            pool.run_all(requests.clone())
+                .expect("run_all")
+                .into_iter()
+                .map(|r| r.result.expect("pixel answered"))
+                .collect()
         };
-        let values: Vec<u64> = responses
+        let values: Vec<u64> = outputs
             .iter()
-            .map(|r| match &r.result {
-                Ok(JobOutput::Pixel { value, .. }) => *value,
+            .map(|output| match output {
+                JobOutput::Pixel { value, .. } => *value,
                 other => panic!("pixel failed: {other:?}"),
             })
             .collect();
         let (exact_values, relaxed_values) = values.split_at(8);
-        assert_eq!(exact_values, relaxed_values, "one by one: {one_by_one}");
+        assert_eq!(exact_values, relaxed_values, "oracle: {oracle}");
         for (i, value) in exact_values.iter().enumerate() {
             let i = i as u64;
             assert_eq!(*value, 5 * (100 + i) - (3 + i + 5 + i + 7 + i + 11 + i));
@@ -556,6 +587,103 @@ fn pixel_groups_wider_than_a_word_split_into_lane_passes() {
             Ok(JobOutput::Pixel { value, lanes, .. }) => {
                 assert_eq!(*value, expected, "pixel {i}");
                 assert_eq!(*lanes, 50, "pixel {i}");
+            }
+            other => panic!("pixel {i} failed: {other:?}"),
+        }
+    }
+}
+
+/// A pixel unit honours its members' deadlines like any other job: 8
+/// coalesced pixels whose deadline has already passed are answered
+/// `DeadlineExceeded` without an attempt.
+#[test]
+fn expired_pixel_deadlines_skip_the_lane_pass() {
+    let pool = small_pool(1, 16);
+    let requests: Vec<Request> = sharpen_pixels(8)
+        .into_iter()
+        .map(|r| r.deadline(Duration::from_nanos(1)))
+        .collect();
+    for (i, response) in pool.run_all(requests).expect("run_all").iter().enumerate() {
+        assert!(
+            matches!(response.result, Err(ServeError::DeadlineExceeded)),
+            "pixel {i}: {:?}",
+            response.result
+        );
+        assert_eq!(response.attempts, 0, "pixel {i}");
+    }
+    let snapshot = pool.metrics().snapshot();
+    assert_eq!(snapshot.failed, 8);
+    assert_eq!(snapshot.completed, 0);
+}
+
+/// A lane-batched pass runs inside the same fault plan and panic isolation
+/// as every other unit: an injected panic fails every pixel of the pass,
+/// and the worker survives to answer the next batch.
+#[test]
+fn injected_panics_fail_the_whole_pixel_pass_and_the_pool_survives() {
+    let pool = Pool::new(PoolConfig {
+        workers: 1,
+        max_retries: 0,
+        fault: FaultPlan::PanicEvery(1),
+        ..PoolConfig::default()
+    })
+    .expect("valid pool");
+    for (i, response) in pool
+        .run_all(sharpen_pixels(8))
+        .expect("run_all")
+        .iter()
+        .enumerate()
+    {
+        assert!(
+            matches!(response.result, Err(ServeError::WorkerPanicked)),
+            "pixel {i}: {:?}",
+            response.result
+        );
+        assert_eq!(response.attempts, 1, "pixel {i}");
+    }
+    // The queue worker survives its own injected panic too.
+    let next = pool
+        .submit(sharpen_pixels(1).remove(0))
+        .expect("queue has room")
+        .wait();
+    assert!(matches!(next.result, Err(ServeError::WorkerPanicked)));
+    let snapshot = pool.metrics().snapshot();
+    assert_eq!(snapshot.failed, 9);
+    assert_eq!(snapshot.retries, 0);
+    pool.shutdown();
+}
+
+/// A pixel whose tap count does not fit its kernel fails alone; the
+/// well-formed pixels of its `(app, mode)` still share one lane pass.
+#[test]
+fn malformed_pixel_fails_alone_and_the_rest_share_a_pass() {
+    use apim_serve::JobOutput;
+
+    let pool = small_pool(1, 16);
+    let mut requests = sharpen_pixels(7);
+    requests.insert(
+        3,
+        Request::new(JobKind::Pixel {
+            app: App::Sharpen,
+            taps: vec![1, 2, 3, 4],
+        }),
+    );
+    let responses = pool.run_all(requests).expect("run_all");
+    for (i, response) in responses.iter().enumerate() {
+        if i == 3 {
+            match &response.result {
+                Err(ServeError::Failed { reason, .. }) => {
+                    assert_eq!(reason, "pixel needs 5 taps, got 4");
+                }
+                other => panic!("malformed pixel answered {other:?}"),
+            }
+            continue;
+        }
+        let k = if i < 3 { i } else { i - 1 } as u64;
+        match &response.result {
+            Ok(JobOutput::Pixel { value, lanes, .. }) => {
+                assert_eq!(*value, 5 * (100 + k) - (3 + k + 5 + k + 7 + k + 11 + k));
+                assert_eq!(*lanes, 7, "pixel {i}");
             }
             other => panic!("pixel {i} failed: {other:?}"),
         }
