@@ -1,6 +1,6 @@
 //! APIM device configuration.
 
-use apim_device::DeviceParams;
+use apim_device::Device;
 use apim_logic::PrecisionMode;
 use std::error::Error;
 use std::fmt;
@@ -78,8 +78,9 @@ impl Error for ArchError {}
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApimConfig {
-    /// Device parameters (VTEAM constants, cycle time…).
-    pub params: DeviceParams,
+    /// The device (VTEAM constants, cycle time… and the per-op energies
+    /// derived from them once).
+    pub device: Device,
     /// Total memory capacity, bytes.
     pub capacity_bytes: u64,
     /// Concurrently active processing-block pairs.
@@ -105,10 +106,9 @@ impl ApimConfig {
     /// # Errors
     ///
     /// Returns [`ArchError::InvalidConfig`] for zero capacities/units,
-    /// unsupported operand widths, inconsistent device parameters or an
-    /// invalid precision mode.
+    /// unsupported operand widths or an invalid precision mode. The
+    /// device was validated when it was built.
     pub fn validate(&self) -> Result<(), ArchError> {
-        self.params.validate().map_err(ArchError::InvalidConfig)?;
         if self.capacity_bytes == 0 {
             return Err(ArchError::InvalidConfig("capacity must be nonzero".into()));
         }
@@ -133,7 +133,7 @@ impl ApimConfig {
 impl Default for ApimConfig {
     fn default() -> Self {
         ApimConfig {
-            params: DeviceParams::default(),
+            device: Device::default(),
             capacity_bytes: 8 << 30,
             parallel_units: 2048,
             operand_bits: 32,
@@ -157,9 +157,10 @@ impl ApimConfigBuilder {
         }
     }
 
-    /// Sets the device parameters.
-    pub fn params(mut self, params: DeviceParams) -> Self {
-        self.config.params = params;
+    /// Sets the device (build one from other parameters with
+    /// [`Device::new`]).
+    pub fn device(mut self, device: Device) -> Self {
+        self.config.device = device;
         self
     }
 

@@ -36,7 +36,7 @@ impl Executor {
         if config.verify_microprograms {
             Self::verify_microprograms(config.operand_bits)?;
         }
-        let cost = CostModel::new(&config.params);
+        let cost = CostModel::new(&config.device);
         let memmap = MemoryMap::new(config.capacity_bytes, TileGeometry::paper())?;
         Ok(Executor {
             config,

@@ -1,16 +1,16 @@
 //! Microbenchmarks of the simulator itself: gate-level crossbar throughput
 //! and the functional/analytic fast paths.
 
-use apim_device::DeviceParams;
+use apim_device::Device;
 use apim_logic::multiplier::CrossbarMultiplier;
 use apim_logic::{functional, CostModel, PrecisionMode};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn bench_gate_level(c: &mut Criterion) {
     let mut group = c.benchmark_group("gate_level");
-    let params = DeviceParams::default();
+    let device = Device::default();
     for n in [8u32, 16, 32] {
-        let mut mul = CrossbarMultiplier::new(n, &params).expect("valid width");
+        let mut mul = CrossbarMultiplier::new(n, &device).expect("valid width");
         let a = (1u64 << (n - 1)) | 0x35;
         let b = (1u64 << (n - 1)) | 0x5B;
         group.bench_function(format!("multiply_{n}x{n}_exact"), |bench| {
@@ -20,7 +20,7 @@ fn bench_gate_level(c: &mut Criterion) {
             });
         });
     }
-    let mut mul = CrossbarMultiplier::new(32, &params).expect("valid width");
+    let mut mul = CrossbarMultiplier::new(32, &device).expect("valid width");
     group.bench_function("multiply_32x32_relax16", |bench| {
         bench.iter(|| {
             mul.multiply(
@@ -70,7 +70,7 @@ fn bench_functional(c: &mut Criterion) {
 }
 
 fn bench_cost_model(c: &mut Criterion) {
-    let model = CostModel::new(&DeviceParams::default());
+    let model = CostModel::new(&Device::default());
     let mut group = c.benchmark_group("cost_model");
     group.bench_function("multiply_expected", |b| {
         b.iter(|| model.multiply_expected(black_box(32), PrecisionMode::Exact));
@@ -91,9 +91,9 @@ fn bench_cost_model(c: &mut Criterion) {
 fn bench_engines(c: &mut Criterion) {
     use apim_logic::mac::CrossbarMac;
     use apim_logic::vector::VectorUnit;
-    let params = DeviceParams::default();
+    let device = Device::default();
     let mut group = c.benchmark_group("engines");
-    let mut mac = CrossbarMac::new(8, 4, &params).expect("mac");
+    let mut mac = CrossbarMac::new(8, 4, &device).expect("mac");
     group.bench_function("mac_4x8bit", |b| {
         b.iter(|| {
             mac.mac(
@@ -103,7 +103,7 @@ fn bench_engines(c: &mut Criterion) {
             .expect("valid terms")
         });
     });
-    let mut vu = VectorUnit::new(16, 8, &params).expect("vector unit");
+    let mut vu = VectorUnit::new(16, 8, &device).expect("vector unit");
     group.bench_function("vector_add_8x16bit", |b| {
         b.iter(|| {
             vu.add(black_box(&[

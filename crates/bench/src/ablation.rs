@@ -55,7 +55,7 @@ pub struct AblationData {
 
 /// Generates all three studies.
 pub fn generate() -> AblationData {
-    let model = CostModel::new(&ApimConfig::default().params);
+    let model = CostModel::new(&ApimConfig::default().device);
     let shifts = [1u64, 4, 8, 16]
         .iter()
         .map(|&k| ShiftRow {

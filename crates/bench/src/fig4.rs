@@ -45,7 +45,7 @@ fn point(model: &CostModel, mode: PrecisionMode) -> Fig4Point {
 
 /// Generates both series.
 pub fn generate() -> Fig4Data {
-    let model = CostModel::new(&ApimConfig::default().params);
+    let model = CostModel::new(&ApimConfig::default().device);
     let _ = DeviceParams::default();
     let first_stage = (0..=32)
         .step_by(2)

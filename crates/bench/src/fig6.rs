@@ -34,7 +34,7 @@ pub fn relax_bits_999(n: u32) -> u32 {
 
 /// Generates the figure's rows.
 pub fn generate() -> Vec<Fig6Row> {
-    let model = CostModel::new(&ApimConfig::default().params);
+    let model = CostModel::new(&ApimConfig::default().device);
     N_VALUES
         .iter()
         .map(|&n| Fig6Row {

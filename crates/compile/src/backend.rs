@@ -33,7 +33,7 @@ use apim_arch::isa::Trace;
 use apim_crossbar::{
     AllocEvent, BlockId, BlockedCrossbar, CrossbarConfig, OpTrace, RowAllocator, RowRef,
 };
-use apim_device::Joules;
+use apim_device::{Device, Joules};
 use apim_logic::adder_serial::{add_words, add_words_with_carry, SerialScratch};
 use apim_logic::functional::partial_product_shifts;
 use apim_logic::lanes::{add_lanes, preload_lanes, read_lanes, sub_lanes};
@@ -56,18 +56,29 @@ use crate::CompileError;
 /// Knobs for [`compile`].
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
-    /// Target crossbar geometry (and device parameters).
+    /// Target crossbar geometry and device. Every program compiled with
+    /// these options, and every crossbar it runs on, charges this device's
+    /// constants; compiling derives none.
     pub config: CrossbarConfig,
     /// Run the negated-constant strength reduction before placement.
     pub strength_reduce: bool,
 }
 
-impl Default for CompileOptions {
-    fn default() -> Self {
+impl CompileOptions {
+    /// The default options ([`CrossbarConfig::new`]'s geometry, strength
+    /// reduction on) for `device`.
+    pub fn new(device: Device) -> Self {
         CompileOptions {
-            config: CrossbarConfig::default(),
+            config: CrossbarConfig::new(device),
             strength_reduce: true,
         }
+    }
+}
+
+impl Default for CompileOptions {
+    /// [`CompileOptions::new`] on the paper's device.
+    fn default() -> Self {
+        CompileOptions::new(Device::default())
     }
 }
 
@@ -240,7 +251,7 @@ impl Core {
             config.cols = config.cols.max((dag.width() as usize + 2) * lanes);
         }
         let placement = place(&dag, &config)?;
-        let model = CostModel::new(&config.params);
+        let model = CostModel::new(&config.device);
         let schedule = schedule(&dag, &placement, &model);
         let trace = lower(&dag);
         Ok(Core {

@@ -431,7 +431,7 @@ pub fn schedule(dag: &Dag, placement: &Placement, model: &CostModel) -> BlockSch
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apim_device::DeviceParams;
+    use apim_device::Device;
 
     fn dag_with_mul(width: u32) -> Dag {
         let mut dag = Dag::new(width).unwrap();
@@ -512,7 +512,7 @@ mod tests {
         let s = dag.add(m1, m2).unwrap();
         dag.set_root(s).unwrap();
         let p = place(&dag, &CrossbarConfig::default()).unwrap();
-        let model = CostModel::new(&DeviceParams::default());
+        let model = CostModel::new(&Device::default());
         let sched = schedule(&dag, &p, &model);
         assert_eq!(sched.units, 2);
         // Two independent multiplies overlap; the add starts after both.

@@ -57,7 +57,7 @@ pub use apim_arch::{
 };
 pub use apim_baselines::{AppProfile, CostReport, GpuModel, GpuParams};
 pub use apim_crossbar::HotSpot;
-pub use apim_device::{Cycles, DeviceParams, EnergyDelayProduct, Joules, Seconds};
+pub use apim_device::{Cycles, Device, DeviceParams, EnergyDelayProduct, Joules, Seconds};
 pub use apim_workloads::{App, QualityReport, RunConfig};
 
 /// Commonly used items in one import.

@@ -278,7 +278,7 @@ impl Apim {
     /// themselves a self-test verdict: e.g. a stuck-at-0 output cell
     /// surfaces as `UninitializedOutput`).
     pub fn self_test(&self, samples: u32, seed: u64) -> Result<SelfTestReport, ApimError> {
-        let mut mul = CrossbarMultiplier::new(16, &self.config().params)?;
+        let mut mul = CrossbarMultiplier::new(16, &self.config().device)?;
         let mut rng = SplitMix64::new(seed);
         let mut mismatches = 0;
         for i in 0..samples {

@@ -1,6 +1,6 @@
 //! The blocked crossbar memory unit with configurable interconnects.
 
-use apim_device::{Cycles, DeviceParams, EnergyModel, TimingModel};
+use apim_device::{Cycles, Device, EnergyModel, TimingModel};
 
 use crate::array::CrossbarArray;
 use crate::cell::Fault;
@@ -325,8 +325,10 @@ pub struct CrossbarConfig {
     pub rows: usize,
     /// Bitlines per block.
     pub cols: usize,
-    /// Device parameters from which energy/timing are derived.
-    pub params: DeviceParams,
+    /// The device whose energy and timing constants every crossbar built
+    /// from this configuration charges. Cloning the configuration copies
+    /// the constants; nothing is derived again.
+    pub device: Device,
     /// When `true`, MAGIC NORs verify that output cells were initialized to
     /// the ON state first and fail otherwise — catches scheduling bugs in
     /// higher-level routines.
@@ -336,16 +338,25 @@ pub struct CrossbarConfig {
     pub backend: Backend,
 }
 
-impl Default for CrossbarConfig {
-    fn default() -> Self {
+impl CrossbarConfig {
+    /// The default geometry — four 64 × 256 blocks, strict initialization,
+    /// packed storage — on `device`.
+    pub fn new(device: Device) -> Self {
         CrossbarConfig {
             blocks: 4,
             rows: 64,
             cols: 256,
-            params: DeviceParams::default(),
+            device,
             strict_init: true,
             backend: Backend::Packed,
         }
+    }
+}
+
+impl Default for CrossbarConfig {
+    /// [`CrossbarConfig::new`] on the paper's device.
+    fn default() -> Self {
+        CrossbarConfig::new(Device::default())
     }
 }
 
@@ -382,18 +393,14 @@ impl BlockedCrossbar {
     ///
     /// Returns [`CrossbarError::InvalidConfig`] if there are fewer than two
     /// blocks (the blocked design needs at least a data and a processing
-    /// block), if a dimension is zero, or if the device parameters are
-    /// inconsistent.
+    /// block) or if a dimension is zero. The device was validated when it
+    /// was built; its constants are copied, not derived again.
     pub fn new(config: CrossbarConfig) -> Result<Self> {
         if config.blocks < 2 {
             return Err(CrossbarError::InvalidConfig(
                 "need at least 2 blocks (data + processing)".into(),
             ));
         }
-        config
-            .params
-            .validate()
-            .map_err(CrossbarError::InvalidConfig)?;
         let mut blocks = Vec::with_capacity(config.blocks);
         let mut roles = Vec::with_capacity(config.blocks);
         for i in 0..config.blocks {
@@ -408,8 +415,8 @@ impl BlockedCrossbar {
             blocks,
             roles,
             stats: Stats::new(),
-            energy: EnergyModel::new(&config.params),
-            timing: TimingModel::new(&config.params),
+            energy: config.device.energy().clone(),
+            timing: config.device.timing().clone(),
             strict_init: config.strict_init,
             backend: config.backend,
             rows: config.rows,

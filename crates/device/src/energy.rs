@@ -1,19 +1,35 @@
 //! Energy model: per-operation energies derived from the VTEAM device.
 //!
-//! The paper obtains per-op energy from Cadence circuit simulation; here the
-//! same constants are computed by integrating the VTEAM model
-//! ([`crate::vteam::VteamModel`]) once at construction and caching the
-//! results.
+//! The paper obtains per-op energy from one Cadence circuit simulation and
+//! then uses the results as fixed constants. Here the same constants are
+//! computed by integrating the VTEAM model ([`crate::vteam::VteamModel`]),
+//! and that integration happens in exactly one place: [`crate::Device::new`].
+//! Crossbars, cost models and compiled programs take their `EnergyModel`
+//! from a [`crate::Device`] and copy it; none of them derives one.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::params::DeviceParams;
 use crate::units::Joules;
 use crate::vteam::VteamModel;
 
-/// Cached per-operation energies of the APIM memory unit.
+/// VTEAM integrations performed by this process so far.
+static DERIVATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// How many times this process has integrated the VTEAM model to derive
+/// an [`EnergyModel`]. Only tests read it: they pin that a workload
+/// derives its device once, however many crossbars it builds.
+#[doc(hidden)]
+pub fn derivations() -> u64 {
+    DERIVATIONS.load(Ordering::Relaxed)
+}
+
+/// Per-operation energies of the APIM memory unit, derived once per
+/// [`crate::Device`].
 ///
 /// ```
-/// use apim_device::{DeviceParams, EnergyModel};
-/// let e = EnergyModel::new(&DeviceParams::default());
+/// use apim_device::Device;
+/// let e = Device::paper().energy().clone();
 /// // Wider NOR rows cost proportionally more (every bit position switches
 /// // its own output cell).
 /// let narrow = e.nor_op(8).as_joules();
@@ -41,13 +57,14 @@ pub struct EnergyModel {
 
 impl EnergyModel {
     /// Derives the energy model from device parameters by integrating the
-    /// VTEAM model.
+    /// VTEAM model — the one derivation behind [`crate::Device::new`].
     ///
     /// # Panics
     ///
     /// Panics if the parameters are invalid (see
     /// [`DeviceParams::validate`]).
-    pub fn new(params: &DeviceParams) -> Self {
+    pub(crate) fn new(params: &DeviceParams) -> Self {
+        DERIVATIONS.fetch_add(1, Ordering::Relaxed);
         let vteam = VteamModel::new(params);
         let set = vteam.set_energy();
         let hold = vteam.hold_energy_off();
@@ -111,19 +128,17 @@ impl EnergyModel {
     }
 }
 
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel::new(&DeviceParams::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn paper() -> EnergyModel {
+        EnergyModel::new(&DeviceParams::paper())
+    }
+
     #[test]
     fn energies_are_positive() {
-        let e = EnergyModel::default();
+        let e = paper();
         assert!(e.nor_op(1).as_joules() > 0.0);
         assert!(e.write_op(1).as_joules() > 0.0);
         assert!(e.read_op(1).as_joules() > 0.0);
@@ -133,13 +148,13 @@ mod tests {
 
     #[test]
     fn read_is_cheaper_than_nor() {
-        let e = EnergyModel::default();
+        let e = paper();
         assert!(e.read_per_bit().as_joules() < e.nor_per_cell().as_joules());
     }
 
     #[test]
     fn width_scaling_is_affine() {
-        let e = EnergyModel::default();
+        let e = paper();
         let w1 = e.nor_op(1).as_joules();
         let w10 = e.nor_op(10).as_joules();
         let per_cell = e.nor_per_cell().as_joules();
@@ -148,7 +163,7 @@ mod tests {
 
     #[test]
     fn maj_costs_roughly_three_reads() {
-        let e = EnergyModel::default();
+        let e = paper();
         let ratio = e.maj_per_bit().as_joules() / e.read_per_bit().as_joules();
         assert!(ratio > 1.5 && ratio < 5.0, "ratio {ratio}");
     }
@@ -156,7 +171,7 @@ mod tests {
     #[test]
     fn per_cell_energies_in_physical_range() {
         // fJ..pJ per cell switch is physically plausible for RRAM at 45nm.
-        let e = EnergyModel::default();
+        let e = paper();
         let pj = e.nor_per_cell().as_picojoules();
         assert!(pj > 1e-4 && pj < 10.0, "nor/cell = {pj} pJ");
     }

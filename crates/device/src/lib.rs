@@ -13,8 +13,9 @@
 //!   ([`vteam::VteamModel`]) used to derive switching times and per-operation
 //!   energies from first principles, and
 //! * the derived per-operation [`energy::EnergyModel`] and
-//!   [`timing::TimingModel`] consumed by the crossbar simulator and the
-//!   analytic cost model, and
+//!   [`timing::TimingModel`], bundled with their parameters as a [`Device`]
+//!   — built once, then handed to the crossbar simulator and the analytic
+//!   cost model, and
 //! * the sense-amplifier read-margin analysis ([`sense::SenseAnalysis`])
 //!   quantifying why the paper's 10 kΩ/10 MΩ device reads (and computes
 //!   MAJ) reliably.
@@ -22,11 +23,11 @@
 //! # Example
 //!
 //! ```
-//! use apim_device::{DeviceParams, EnergyModel, TimingModel};
+//! use apim_device::{Device, DeviceParams};
 //!
-//! let params = DeviceParams::default();
-//! let timing = TimingModel::new(&params);
-//! let energy = EnergyModel::new(&params);
+//! // Validates the parameters and integrates the VTEAM model, once.
+//! let device = Device::new(DeviceParams::default()).expect("valid");
+//! let (timing, energy) = (device.timing(), device.energy());
 //!
 //! // One MAGIC NOR over a 32-cell row costs one 1.1 ns cycle.
 //! let t = timing.cycle_time() * 1.0;
@@ -37,6 +38,7 @@
 
 #![deny(missing_docs)]
 
+mod device;
 mod params;
 mod units;
 
@@ -45,6 +47,7 @@ pub mod sense;
 pub mod timing;
 pub mod vteam;
 
+pub use device::Device;
 pub use energy::EnergyModel;
 pub use params::DeviceParams;
 pub use timing::TimingModel;

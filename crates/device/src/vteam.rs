@@ -112,17 +112,16 @@ impl VteamModel {
         p.r_on_ohms + frac * (p.r_off_ohms - p.r_on_ohms)
     }
 
-    /// State derivative `dw/dt` at voltage `v`.
-    fn dwdt(&self, w: f64, v: f64) -> f64 {
+    /// The voltage factor `k · drive(v)` of the state derivative
+    /// `dw/dt = k · drive(v) · window(w)`; constant over a pulse.
+    fn rate(&self, v: f64) -> f64 {
         let p = &self.params;
         if v > p.v_off_volts {
             // OFF-switching: w grows toward w_max.
-            let drive = (v / p.v_off_volts - 1.0).powf(p.alpha_off);
-            p.k_off * drive * Self::window(w, p.w_min_m, p.w_max_m)
+            p.k_off * (v / p.v_off_volts - 1.0).powf(p.alpha_off)
         } else if v < p.v_on_volts {
             // ON-switching: w shrinks toward w_min (k_on < 0).
-            let drive = (v / p.v_on_volts - 1.0).powf(p.alpha_on);
-            p.k_on * drive * Self::window(w, p.w_min_m, p.w_max_m)
+            p.k_on * (v / p.v_on_volts - 1.0).powf(p.alpha_on)
         } else {
             0.0
         }
@@ -138,14 +137,28 @@ impl VteamModel {
     /// Applies a constant-voltage pulse of the given duration, integrating
     /// the state and accumulating `v²/R` dissipation.
     pub fn apply_pulse(&self, cell: &mut VteamCell, volts: f64, duration_s: f64) -> PulseReport {
+        self.integrate(cell, volts, duration_s, false)
+    }
+
+    /// The pulse integration behind [`VteamModel::apply_pulse`]. With
+    /// `until_saturated` it stops at the step that first saturates the
+    /// state, so only `saturated_at` of the report is meaningful.
+    fn integrate(
+        &self,
+        cell: &mut VteamCell,
+        volts: f64,
+        duration_s: f64,
+        until_saturated: bool,
+    ) -> PulseReport {
         let p = &self.params;
+        let rate = self.rate(volts);
         let mut t = 0.0;
         let mut energy = 0.0;
         let mut saturated_at = None;
         while t < duration_s {
             let step = self.dt.min(duration_s - t);
             energy += volts * volts / cell.resistance * step;
-            let dw = self.dwdt(cell.w, volts) * step;
+            let dw = rate * Self::window(cell.w, p.w_min_m, p.w_max_m) * step;
             let w_new = (cell.w + dw).clamp(p.w_min_m, p.w_max_m);
             if saturated_at.is_none() && dw != 0.0 && (w_new == p.w_min_m || w_new == p.w_max_m) {
                 saturated_at = Some(Seconds::new(t + step));
@@ -153,11 +166,22 @@ impl VteamModel {
             cell.w = w_new;
             cell.resistance = self.resistance(w_new);
             t += step;
+            if until_saturated && saturated_at.is_some() {
+                break;
+            }
         }
         PulseReport {
             energy: Joules::new(energy),
             saturated_at,
         }
+    }
+
+    /// When a pulse of `volts` first saturates `cell`, or `horizon_s` if
+    /// it does not within that long.
+    fn saturation_time(&self, mut cell: VteamCell, volts: f64, horizon_s: f64) -> Seconds {
+        self.integrate(&mut cell, volts, horizon_s, true)
+            .saturated_at
+            .unwrap_or(Seconds::new(horizon_s))
     }
 
     /// Time for a full OFF→ON transition under `-V0` (a MAGIC output cell
@@ -166,10 +190,8 @@ impl VteamModel {
     /// This must complete within one MAGIC cycle for the logic family to
     /// work; [`crate::TimingModel`] asserts it against the paper's 1.1 ns.
     pub fn set_time(&self) -> Seconds {
-        let mut cell = self.cell_off();
         let horizon = 20.0 * self.params.cycle_ns * 1e-9;
-        let report = self.apply_pulse(&mut cell, -self.params.v0_volts, horizon);
-        report.saturated_at.unwrap_or(Seconds::new(horizon))
+        self.saturation_time(self.cell_off(), -self.params.v0_volts, horizon)
     }
 
     /// Energy of a full OFF→ON switching event under `-V0`.
@@ -184,10 +206,8 @@ impl VteamModel {
     /// OFF-threshold is lower than the ON-threshold, so the drive term is
     /// much larger.
     pub fn reset_time(&self) -> Seconds {
-        let mut cell = self.cell_on();
         let horizon = 20.0 * self.params.cycle_ns * 1e-9;
-        let report = self.apply_pulse(&mut cell, self.params.v0_volts, horizon);
-        report.saturated_at.unwrap_or(Seconds::new(horizon))
+        self.saturation_time(self.cell_on(), self.params.v0_volts, horizon)
     }
 
     /// Energy of a full ON→OFF switching event under `+V0`. The large

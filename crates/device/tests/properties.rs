@@ -2,7 +2,7 @@
 //! behave like a physical memristor.
 
 use apim_device::vteam::VteamModel;
-use apim_device::{Cycles, DeviceParams, EnergyModel, Joules, Seconds, TimingModel};
+use apim_device::{Cycles, Device, DeviceParams, Joules, Seconds, TimingModel};
 use proptest::prelude::*;
 
 proptest! {
@@ -56,7 +56,8 @@ proptest! {
 
     #[test]
     fn energy_model_scales_affinely_with_width(w1 in 1usize..256, w2 in 1usize..256) {
-        let em = EnergyModel::new(&DeviceParams::paper());
+        let device = Device::paper();
+        let em = device.energy();
         let e = |w: usize| em.nor_op(w).as_joules();
         let per_cell = em.nor_per_cell().as_joules();
         let predicted = e(w1) + (w2 as f64 - w1 as f64) * per_cell;

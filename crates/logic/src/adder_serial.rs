@@ -221,7 +221,7 @@ mod tests {
         let before = *xbar.stats();
         add_words(&mut xbar, blk, 0, 1, 2, 0..n, &scratch).unwrap();
         let delta = *xbar.stats() - before;
-        let model = CostModel::new(&apim_device::DeviceParams::default());
+        let model = CostModel::new(&apim_device::Device::default());
         let predicted = model.serial_add(n as u32);
         assert_eq!(delta.cycles, predicted.cycles);
         let rel = (delta.energy.as_joules() - predicted.energy.as_joules()).abs()

@@ -184,7 +184,7 @@ mod tests {
             run.cycles
         );
         use crate::model::CostModel;
-        let mul = CostModel::new(&apim_device::DeviceParams::default())
+        let mul = CostModel::new(&apim_device::Device::default())
             .multiply_trunc_expected(8, crate::PrecisionMode::Exact);
         assert!(run.cycles.get() > 5 * mul.cycles.get());
     }

@@ -383,8 +383,8 @@ mod tests {
         // multiplier first (N cycles) before a column-oriented scheme
         // could even start.
         use crate::model::CostModel;
-        use apim_device::DeviceParams;
-        let model = CostModel::new(&DeviceParams::default());
+        use apim_device::Device;
+        let model = CostModel::new(&Device::default());
         let n = 32;
         let transpose_cycles = n as u64; // this module's routine
         for ones in [4u32, 16, 31] {

@@ -15,7 +15,7 @@
 use apim_crossbar::{
     Backend, BlockedCrossbar, CrossbarConfig, CrossbarError, Result, RowAllocator, Stats,
 };
-use apim_device::DeviceParams;
+use apim_device::Device;
 
 use crate::adder_csa::CSA_SCRATCH_ROWS;
 use crate::adder_serial::{add_words, add_words_with_carry, SerialScratch};
@@ -37,10 +37,10 @@ pub struct MacRun {
 /// ```
 /// use apim_logic::mac::CrossbarMac;
 /// use apim_logic::PrecisionMode;
-/// use apim_device::DeviceParams;
+/// use apim_device::Device;
 ///
 /// # fn main() -> Result<(), apim_crossbar::CrossbarError> {
-/// let mut mac = CrossbarMac::new(8, 4, &DeviceParams::default())?;
+/// let mut mac = CrossbarMac::new(8, 4, &Device::default())?;
 /// let run = mac.mac(&[(3, 5), (7, 9), (2, 2)], PrecisionMode::Exact)?;
 /// assert_eq!(run.value, (3 * 5 + 7 * 9 + 2 * 2) & 0xFF);
 /// # Ok(())
@@ -61,8 +61,8 @@ impl CrossbarMac {
     ///
     /// Returns [`CrossbarError::InvalidConfig`] for unsupported widths or a
     /// zero term budget.
-    pub fn new(n: u32, max_terms: usize, params: &DeviceParams) -> Result<Self> {
-        Self::with_backend(n, max_terms, params, Backend::default())
+    pub fn new(n: u32, max_terms: usize, device: &Device) -> Result<Self> {
+        Self::with_backend(n, max_terms, device, Backend::default())
     }
 
     /// Like [`CrossbarMac::new`] on an explicit storage [`Backend`] — the
@@ -75,7 +75,7 @@ impl CrossbarMac {
     pub fn with_backend(
         n: u32,
         max_terms: usize,
-        params: &DeviceParams,
+        device: &Device,
         backend: Backend,
     ) -> Result<Self> {
         if !(4..=64).contains(&n) {
@@ -96,7 +96,7 @@ impl CrossbarMac {
             blocks: 3,
             rows,
             cols,
-            params: params.clone(),
+            device: device.clone(),
             strict_init: true,
             backend,
         })?;
@@ -285,7 +285,7 @@ mod tests {
     use crate::error_analysis::SplitMix64;
 
     fn mac_unit(n: u32, terms: usize) -> CrossbarMac {
-        CrossbarMac::new(n, terms, &DeviceParams::default()).unwrap()
+        CrossbarMac::new(n, terms, &Device::default()).unwrap()
     }
 
     #[test]
@@ -324,7 +324,7 @@ mod tests {
     #[test]
     fn gate_level_cost_matches_model_exactly() {
         use crate::model::CostModel;
-        let model = CostModel::new(&DeviceParams::default());
+        let model = CostModel::new(&Device::default());
         let mut mac = mac_unit(8, 3);
         for terms in [
             vec![(250u64, 101u64), (37, 201), (99, 77)],
@@ -352,7 +352,7 @@ mod tests {
         let terms = [(250u64, 101u64), (37, 201), (99, 77)];
         let mut mac = mac_unit(8, 3);
         let fused = mac.mac(&terms, PrecisionMode::Exact).unwrap();
-        let mut mul = CrossbarMultiplier::new(8, &DeviceParams::default()).unwrap();
+        let mut mul = CrossbarMultiplier::new(8, &Device::default()).unwrap();
         let mut separate_cycles = 0;
         for &(a, b) in &terms {
             separate_cycles += mul
@@ -415,8 +415,8 @@ mod tests {
 
     #[test]
     fn invalid_construction_rejected() {
-        assert!(CrossbarMac::new(3, 4, &DeviceParams::default()).is_err());
-        assert!(CrossbarMac::new(8, 0, &DeviceParams::default()).is_err());
+        assert!(CrossbarMac::new(3, 4, &Device::default()).is_err());
+        assert!(CrossbarMac::new(8, 0, &Device::default()).is_err());
     }
 
     #[test]

@@ -7,9 +7,7 @@
 //! architecture layer (`apim-arch`) then uses these formulas to cost
 //! GB-scale workloads without simulating cells.
 
-use apim_device::{
-    Cycles, DeviceParams, EnergyDelayProduct, EnergyModel, Joules, Seconds, TimingModel,
-};
+use apim_device::{Cycles, Device, EnergyDelayProduct, EnergyModel, Joules, Seconds, TimingModel};
 
 use crate::functional::{partial_product_shifts, tree_stages};
 use crate::precision::PrecisionMode;
@@ -18,9 +16,9 @@ use crate::precision::PrecisionMode;
 ///
 /// ```
 /// use apim_logic::{CostModel, OpCost};
-/// use apim_device::DeviceParams;
+/// use apim_device::Device;
 ///
-/// let model = CostModel::new(&DeviceParams::default());
+/// let model = CostModel::new(&Device::paper());
 /// let add = model.serial_add(32);
 /// assert_eq!(add.cycles.get(), 12 * 32 + 1); // the paper's 12N + 1
 /// ```
@@ -77,15 +75,11 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Builds the model from device parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameters are invalid.
-    pub fn new(params: &DeviceParams) -> Self {
+    /// The model of `device`: copies its energy and timing constants.
+    pub fn new(device: &Device) -> Self {
         CostModel {
-            em: EnergyModel::new(params),
-            tm: TimingModel::new(params),
+            em: device.energy().clone(),
+            tm: device.timing().clone(),
         }
     }
 
@@ -492,7 +486,7 @@ mod tests {
     use super::*;
 
     fn model() -> CostModel {
-        CostModel::new(&DeviceParams::default())
+        CostModel::new(&Device::default())
     }
 
     #[test]

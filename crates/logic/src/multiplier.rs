@@ -31,7 +31,7 @@
 use apim_crossbar::{
     Backend, BlockId, BlockedCrossbar, CrossbarConfig, CrossbarError, Result, RowAllocator, Stats,
 };
-use apim_device::DeviceParams;
+use apim_device::Device;
 
 use crate::adder_csa::CSA_SCRATCH_ROWS;
 use crate::adder_serial::{add_words, add_words_with_carry, SerialScratch};
@@ -67,10 +67,10 @@ pub struct MulRun {
 /// ```
 /// use apim_logic::multiplier::CrossbarMultiplier;
 /// use apim_logic::PrecisionMode;
-/// use apim_device::DeviceParams;
+/// use apim_device::Device;
 ///
 /// # fn main() -> Result<(), apim_crossbar::CrossbarError> {
-/// let mut mul = CrossbarMultiplier::new(8, &DeviceParams::default())?;
+/// let mut mul = CrossbarMultiplier::new(8, &Device::default())?;
 /// let run = mul.multiply(200, 57, PrecisionMode::Exact)?;
 /// assert_eq!(run.product, 200 * 57);
 /// # Ok(())
@@ -95,13 +95,13 @@ impl CrossbarMultiplier {
     ///
     /// Returns [`CrossbarError::InvalidConfig`] for unsupported widths or
     /// invalid device parameters.
-    pub fn new(n: u32, params: &DeviceParams) -> Result<Self> {
+    pub fn new(n: u32, device: &Device) -> Result<Self> {
         if !(4..=64).contains(&n) {
             return Err(CrossbarError::InvalidConfig(format!(
                 "operand width {n} outside supported range 4..=64"
             )));
         }
-        Self::build(n, params, 1, Backend::default())
+        Self::build(n, device, 1, Backend::default())
     }
 
     /// Like [`CrossbarMultiplier::new`] on an explicit storage [`Backend`]
@@ -111,8 +111,8 @@ impl CrossbarMultiplier {
     /// # Errors
     ///
     /// Same conditions as [`CrossbarMultiplier::new`].
-    pub fn with_backend(n: u32, params: &DeviceParams, backend: Backend) -> Result<Self> {
-        Self::build(n, params, 1, backend)
+    pub fn with_backend(n: u32, device: &Device, backend: Backend) -> Result<Self> {
+        Self::build(n, device, 1, backend)
     }
 
     /// Like [`CrossbarMultiplier::new`] but with wear leveling: the final
@@ -125,16 +125,16 @@ impl CrossbarMultiplier {
     ///
     /// Same conditions as [`CrossbarMultiplier::new`]; additionally rejects
     /// `slots == 0`.
-    pub fn new_with_wear_leveling(n: u32, params: &DeviceParams, slots: usize) -> Result<Self> {
+    pub fn new_with_wear_leveling(n: u32, device: &Device, slots: usize) -> Result<Self> {
         if slots == 0 {
             return Err(CrossbarError::InvalidConfig(
                 "wear leveling needs at least one slot".into(),
             ));
         }
-        Self::build(n, params, slots, Backend::default())
+        Self::build(n, device, slots, Backend::default())
     }
 
-    fn build(n: u32, params: &DeviceParams, level_slots: usize, backend: Backend) -> Result<Self> {
+    fn build(n: u32, device: &Device, level_slots: usize, backend: Backend) -> Result<Self> {
         if !(4..=64).contains(&n) {
             return Err(CrossbarError::InvalidConfig(format!(
                 "operand width {n} outside supported range 4..=64"
@@ -149,7 +149,7 @@ impl CrossbarMultiplier {
             blocks: 3,
             rows,
             cols,
-            params: params.clone(),
+            device: device.clone(),
             strict_init: true,
             backend,
         })?;
@@ -399,7 +399,7 @@ mod tests {
     use crate::model::CostModel;
 
     fn multiplier(n: u32) -> CrossbarMultiplier {
-        CrossbarMultiplier::new(n, &DeviceParams::default()).unwrap()
+        CrossbarMultiplier::new(n, &Device::default()).unwrap()
     }
 
     #[test]
@@ -466,7 +466,7 @@ mod tests {
 
     #[test]
     fn trunc_cycles_match_cost_model_exactly() {
-        let model = CostModel::new(&DeviceParams::default());
+        let model = CostModel::new(&Device::default());
         let mut mul = multiplier(8);
         for (a, b) in [(255u64, 255u64), (173, 89), (250, 3)] {
             for mode in [
@@ -502,7 +502,7 @@ mod tests {
 
     #[test]
     fn cycles_match_cost_model_exactly() {
-        let model = CostModel::new(&DeviceParams::default());
+        let model = CostModel::new(&Device::default());
         let mut mul = multiplier(8);
         for (a, b) in [(173u64, 89u64), (255, 255), (8, 8), (99, 0), (1, 170)] {
             for mode in [
@@ -524,7 +524,7 @@ mod tests {
 
     #[test]
     fn energy_matches_cost_model_exactly() {
-        let model = CostModel::new(&DeviceParams::default());
+        let model = CostModel::new(&Device::default());
         let mut mul = multiplier(8);
         for (a, b) in [(173u64, 89u64), (255, 255), (12, 34)] {
             for mode in [
@@ -679,8 +679,8 @@ mod tests {
 
     #[test]
     fn unsupported_widths_rejected() {
-        assert!(CrossbarMultiplier::new(3, &DeviceParams::default()).is_err());
-        assert!(CrossbarMultiplier::new(65, &DeviceParams::default()).is_err());
+        assert!(CrossbarMultiplier::new(3, &Device::default()).is_err());
+        assert!(CrossbarMultiplier::new(65, &Device::default()).is_err());
     }
 
     #[test]
@@ -717,9 +717,9 @@ mod tests {
     #[test]
     fn wear_leveling_spreads_the_hotspot() {
         let runs = 24;
-        let mut fixed = CrossbarMultiplier::new(8, &DeviceParams::default()).unwrap();
+        let mut fixed = CrossbarMultiplier::new(8, &Device::default()).unwrap();
         let mut leveled =
-            CrossbarMultiplier::new_with_wear_leveling(8, &DeviceParams::default(), 4).unwrap();
+            CrossbarMultiplier::new_with_wear_leveling(8, &Device::default(), 4).unwrap();
         for i in 0..runs {
             let a = 100 + i as u64;
             fixed.multiply(a, 173, PrecisionMode::Exact).unwrap();
@@ -738,9 +738,7 @@ mod tests {
 
     #[test]
     fn wear_leveling_rejects_zero_slots() {
-        assert!(
-            CrossbarMultiplier::new_with_wear_leveling(8, &DeviceParams::default(), 0).is_err()
-        );
+        assert!(CrossbarMultiplier::new_with_wear_leveling(8, &Device::default(), 0).is_err());
     }
 
     #[test]

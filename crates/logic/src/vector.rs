@@ -30,10 +30,10 @@ pub struct VectorRun {
 ///
 /// ```
 /// use apim_logic::vector::VectorUnit;
-/// use apim_device::DeviceParams;
+/// use apim_device::Device;
 ///
 /// # fn main() -> Result<(), apim_crossbar::CrossbarError> {
-/// let mut vu = VectorUnit::new(8, 4, &DeviceParams::default())?;
+/// let mut vu = VectorUnit::new(8, 4, &Device::default())?;
 /// let run = vu.add(&[(1, 2), (250, 10), (77, 77), (0, 255)])?;
 /// assert_eq!(run.values, vec![3, 4, 154, 255]); // wrapping at 8 bits
 /// assert_eq!(run.stats.cycles.get(), 12 * 8 + 1); // one addition's latency
@@ -56,8 +56,8 @@ impl VectorUnit {
     /// # Errors
     ///
     /// Returns a configuration error for zero lanes or unsupported widths.
-    pub fn new(n: u32, lanes: usize, params: &apim_device::DeviceParams) -> Result<Self> {
-        Self::with_backend(n, lanes, params, apim_crossbar::Backend::default())
+    pub fn new(n: u32, lanes: usize, device: &apim_device::Device) -> Result<Self> {
+        Self::with_backend(n, lanes, device, apim_crossbar::Backend::default())
     }
 
     /// Like [`VectorUnit::new`] on an explicit storage backend — the
@@ -70,7 +70,7 @@ impl VectorUnit {
     pub fn with_backend(
         n: u32,
         lanes: usize,
-        params: &apim_device::DeviceParams,
+        device: &apim_device::Device,
         backend: apim_crossbar::Backend,
     ) -> Result<Self> {
         if !(4..=64).contains(&n) {
@@ -87,7 +87,7 @@ impl VectorUnit {
             blocks: 2,
             rows: lanes * LANE_ROWS,
             cols: n as usize + 4,
-            params: params.clone(),
+            device: device.clone(),
             strict_init: true,
             backend,
         })?;
@@ -218,10 +218,10 @@ impl VectorUnit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use apim_device::DeviceParams;
+    use apim_device::Device;
 
     fn unit(n: u32, lanes: usize) -> VectorUnit {
-        VectorUnit::new(n, lanes, &DeviceParams::default()).unwrap()
+        VectorUnit::new(n, lanes, &Device::default()).unwrap()
     }
 
     #[test]
@@ -275,8 +275,8 @@ mod tests {
 
     #[test]
     fn invalid_construction_rejected() {
-        assert!(VectorUnit::new(2, 4, &DeviceParams::default()).is_err());
-        assert!(VectorUnit::new(8, 0, &DeviceParams::default()).is_err());
+        assert!(VectorUnit::new(2, 4, &Device::default()).is_err());
+        assert!(VectorUnit::new(8, 0, &Device::default()).is_err());
     }
 
     #[test]

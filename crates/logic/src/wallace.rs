@@ -206,7 +206,7 @@ mod tests {
     use crate::functional;
     use crate::model::{ceil_log2, CostModel};
     use apim_crossbar::{BlockedCrossbar, CrossbarConfig};
-    use apim_device::DeviceParams;
+    use apim_device::Device;
 
     fn to_bits(v: u64, n: usize) -> Vec<bool> {
         (0..n).map(|i| (v >> i) & 1 == 1).collect()
@@ -336,7 +336,7 @@ mod tests {
         let result_bits = operand_bits + ceil_log2(values.len() as u32);
         let (mut xbar, src, dst) = setup(&values, result_bits as usize);
         sum_rows(&mut xbar, src, dst, values.len(), result_bits as usize).unwrap();
-        let model = CostModel::new(&DeviceParams::default());
+        let model = CostModel::new(&Device::default());
         let predicted = model.sum_reduce(values.len() as u32, operand_bits, 0);
         assert_eq!(xbar.stats().cycles, predicted.cycles);
     }
@@ -348,7 +348,7 @@ mod tests {
         let result_bits = operand_bits + ceil_log2(values.len() as u32);
         let (mut xbar, src, dst) = setup(&values, result_bits as usize);
         sum_rows(&mut xbar, src, dst, values.len(), result_bits as usize).unwrap();
-        let model = CostModel::new(&DeviceParams::default());
+        let model = CostModel::new(&Device::default());
         let predicted = model.sum_reduce(values.len() as u32, operand_bits, 0);
         let rel = (xbar.stats().energy.as_joules() - predicted.energy.as_joules()).abs()
             / predicted.energy.as_joules();

@@ -4,7 +4,7 @@
 //! and final cell state at widths 8/16/32/64.
 
 use apim_crossbar::{Backend, BlockedCrossbar, CrossbarConfig};
-use apim_device::DeviceParams;
+use apim_device::Device;
 use apim_logic::mac::CrossbarMac;
 use apim_logic::multiplier::CrossbarMultiplier;
 use apim_logic::vector::VectorUnit;
@@ -58,13 +58,13 @@ proptest! {
 
     #[test]
     fn multiplier_is_backend_independent(a: u64, b: u64, relax in 0u32..16) {
-        let params = DeviceParams::default();
+        let device = Device::default();
         for n in WIDTHS {
             let n = n as u32;
             let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
             let (a, b) = (a & mask, b & mask);
-            let mut packed = CrossbarMultiplier::with_backend(n, &params, Backend::Packed).unwrap();
-            let mut scalar = CrossbarMultiplier::with_backend(n, &params, Backend::Scalar).unwrap();
+            let mut packed = CrossbarMultiplier::with_backend(n, &device, Backend::Packed).unwrap();
+            let mut scalar = CrossbarMultiplier::with_backend(n, &device, Backend::Scalar).unwrap();
             for mode in [
                 PrecisionMode::Exact,
                 PrecisionMode::LastStage {
@@ -82,15 +82,15 @@ proptest! {
 
     #[test]
     fn mac_is_backend_independent(terms in proptest::collection::vec((0u64.., 0u64..), 1..4)) {
-        let params = DeviceParams::default();
+        let device = Device::default();
         for n in [8u32, 16, 32] {
             let mask = (1u64 << n) - 1;
             let terms: Vec<(u64, u64)> =
                 terms.iter().map(|&(a, b)| (a & mask, b & mask)).collect();
             let mut packed =
-                CrossbarMac::with_backend(n, terms.len(), &params, Backend::Packed).unwrap();
+                CrossbarMac::with_backend(n, terms.len(), &device, Backend::Packed).unwrap();
             let mut scalar =
-                CrossbarMac::with_backend(n, terms.len(), &params, Backend::Scalar).unwrap();
+                CrossbarMac::with_backend(n, terms.len(), &device, Backend::Scalar).unwrap();
             let rp = packed.mac(&terms, PrecisionMode::Exact).unwrap();
             let rs = scalar.mac(&terms, PrecisionMode::Exact).unwrap();
             prop_assert_eq!(rp.value, rs.value, "n={}", n);
@@ -101,16 +101,16 @@ proptest! {
 
     #[test]
     fn vector_add_is_backend_independent(pairs in proptest::collection::vec((0u64.., 0u64..), 1..5)) {
-        let params = DeviceParams::default();
+        let device = Device::default();
         for n in WIDTHS {
             let n = n as u32;
             let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
             let pairs: Vec<(u64, u64)> =
                 pairs.iter().map(|&(a, b)| (a & mask, b & mask)).collect();
             let mut packed =
-                VectorUnit::with_backend(n, pairs.len(), &params, Backend::Packed).unwrap();
+                VectorUnit::with_backend(n, pairs.len(), &device, Backend::Packed).unwrap();
             let mut scalar =
-                VectorUnit::with_backend(n, pairs.len(), &params, Backend::Scalar).unwrap();
+                VectorUnit::with_backend(n, pairs.len(), &device, Backend::Scalar).unwrap();
             let rp = packed.add(&pairs).unwrap();
             let rs = scalar.add(&pairs).unwrap();
             prop_assert_eq!(rp.values, rs.values, "n={}", n);

@@ -4,7 +4,7 @@
 //! == gate-level crossbar simulation, for every precision mode, with cycle
 //! counts matching the analytic cost model exactly.
 
-use apim_device::DeviceParams;
+use apim_device::Device;
 use apim_logic::error_analysis::SplitMix64;
 use apim_logic::functional::{
     approx_add_last_stage, csa, multiply, multiply_signed, reduce_to_two, tree_stages,
@@ -89,7 +89,7 @@ proptest! {
     #[test]
     fn relax_bits_monotonically_cheapen(m1 in 0u32..=63, delta in 1u32..=16) {
         let m2 = (m1 + delta).min(64);
-        let model = CostModel::new(&DeviceParams::default());
+        let model = CostModel::new(&Device::default());
         let c1 = model.final_stage(32, m1);
         let c2 = model.final_stage(32, m2);
         prop_assert!(c2.cycles < c1.cycles);
@@ -98,7 +98,7 @@ proptest! {
 
     #[test]
     fn masking_monotonically_cheapens(f in 0u8..32) {
-        let model = CostModel::new(&DeviceParams::default());
+        let model = CostModel::new(&Device::default());
         let b = u64::from(u32::MAX);
         let c1 = model.multiply(32, b, PrecisionMode::FirstStage { masked_bits: f });
         let c2 = model.multiply(32, b, PrecisionMode::FirstStage { masked_bits: f + 1 });
@@ -147,8 +147,8 @@ proptest! {
 
     #[test]
     fn gate_level_equals_functional(a in 0u64..256, b in 0u64..256, m in 0u8..=16, f in 0u8..=8) {
-        let mut mul = CrossbarMultiplier::new(8, &DeviceParams::default()).unwrap();
-        let model = CostModel::new(&DeviceParams::default());
+        let mut mul = CrossbarMultiplier::new(8, &Device::default()).unwrap();
+        let model = CostModel::new(&Device::default());
         for mode in [
             PrecisionMode::Exact,
             PrecisionMode::FirstStage { masked_bits: f },
@@ -192,7 +192,7 @@ proptest! {
         pairs in proptest::collection::vec((0u64..65536, 0u64..65536), 1..6)
     ) {
         use apim_logic::vector::VectorUnit;
-        let mut vu = VectorUnit::new(16, 6, &DeviceParams::default()).unwrap();
+        let mut vu = VectorUnit::new(16, 6, &Device::default()).unwrap();
         let run = vu.add(&pairs).unwrap();
         for (got, &(a, b)) in run.values.iter().zip(&pairs) {
             prop_assert_eq!(*got, (a + b) & 0xFFFF);
@@ -205,7 +205,7 @@ proptest! {
         let mut rng = SplitMix64::new(seed);
         let a = rng.next_bits(16);
         let b = rng.next_bits(16);
-        let mut mul = CrossbarMultiplier::new(16, &DeviceParams::default()).unwrap();
+        let mut mul = CrossbarMultiplier::new(16, &Device::default()).unwrap();
         let run = mul.multiply(a, b, PrecisionMode::Exact).unwrap();
         prop_assert_eq!(run.product, u128::from(a) * u128::from(b));
     }

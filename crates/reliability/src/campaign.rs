@@ -23,11 +23,13 @@
 
 use std::fmt;
 
+use apim_compile::{compile, CompileOptions, CompiledProgram};
 use apim_crossbar::{BlockedCrossbar, CrossbarConfig, CrossbarError, Result, RowAllocator, Stats};
-use apim_device::{DeviceParams, Joules};
+use apim_device::{Device, Joules};
 use apim_logic::adder_serial::{add_words, SerialScratch};
 use apim_logic::multiplier::CrossbarMultiplier;
 use apim_logic::{spec, PrecisionMode};
+use apim_workloads::dags::{sharpen_dag, sharpen_via_dag};
 use apim_workloads::image::{synthetic_image, Image};
 use apim_workloads::quality::{image_quality_sized, mean_relative_error, psnr_u8};
 
@@ -315,7 +317,7 @@ fn run_multiplier(config: &CampaignConfig) -> Result<KernelOutcome> {
     let mut outcome = blank_outcome("multiplier");
     let mut golden_results = Vec::new();
     let mut results = Vec::new();
-    let params = DeviceParams::default();
+    let device = Device::default();
     for trial in 0..config.trials {
         let words: Vec<u64> = (0..DATA_ROWS)
             .map(|_| gen.next() & spec::mask(WIDTH))
@@ -323,11 +325,11 @@ fn run_multiplier(config: &CampaignConfig) -> Result<KernelOutcome> {
         let readback = store_and_read(&words, WIDTH, &trial_plan(config, 2, trial), config.ecc)?;
         absorb(&mut outcome, &readback);
         for pair in 0..DATA_ROWS / 2 {
-            let mut mul = CrossbarMultiplier::new(WIDTH as u32, &params)?;
+            let mut mul = CrossbarMultiplier::new(WIDTH as u32, &device)?;
             let golden = mul
                 .multiply(words[2 * pair], words[2 * pair + 1], PrecisionMode::Exact)?
                 .product;
-            let mut mul = CrossbarMultiplier::new(WIDTH as u32, &params)?;
+            let mut mul = CrossbarMultiplier::new(WIDTH as u32, &device)?;
             let got = mul
                 .multiply(
                     readback.words[2 * pair],
@@ -376,8 +378,10 @@ fn run_sharpen(config: &CampaignConfig) -> Result<KernelOutcome> {
         }
     }
 
-    let golden_out = sharpen(&Image::from_u8(dim, dim, &bytes))?;
-    let trial_out = sharpen(&Image::from_u8(dim, dim, &recovered))?;
+    let program = compile(&sharpen_dag(), &CompileOptions::default())
+        .map_err(|e| CrossbarError::InvalidConfig(format!("sharpen DAG failed: {e}")))?;
+    let golden_out = sharpen(&program, &Image::from_u8(dim, dim, &bytes))?;
+    let trial_out = sharpen(&program, &Image::from_u8(dim, dim, &recovered))?;
     let mut golden_digest = FNV_OFFSET;
     let mut digest = FNV_OFFSET;
     for &b in &golden_out {
@@ -394,8 +398,8 @@ fn run_sharpen(config: &CampaignConfig) -> Result<KernelOutcome> {
     Ok(outcome)
 }
 
-fn sharpen(image: &Image) -> Result<Vec<u8>> {
-    apim_workloads::dags::sharpen_via_dag(image)
+fn sharpen(program: &CompiledProgram, image: &Image) -> Result<Vec<u8>> {
+    sharpen_via_dag(program, image)
         .map(|out| out.to_u8())
         .map_err(|e| CrossbarError::InvalidConfig(format!("sharpen DAG failed: {e}")))
 }

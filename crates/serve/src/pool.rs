@@ -15,7 +15,7 @@ use crate::metrics::Metrics;
 use crate::queue::{Intake, Job};
 use crate::request::{pixel_arity, JobKind, JobOutput, Request, Response, ServeError};
 use apim::{Apim, ApimConfig, ApimError, App, PrecisionMode};
-use apim_compile::BatchCompiledProgram;
+use apim_compile::{BatchCompiledProgram, CompileOptions};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -355,7 +355,7 @@ impl Pool {
                 let apim = Apim::new(device.clone())?;
                 let slots = &slots;
                 joins.push(scope.spawn(move || {
-                    let mut kernels = KernelCache::default();
+                    let mut kernels = KernelCache::new(&apim);
                     for batch_id in batch_ids {
                         let indices = &batches[batch_id].1;
                         // The one-shot path has no queue: each member is
@@ -426,7 +426,7 @@ fn worker_loop(shared: &Shared) {
     let Ok(apim) = Apim::new(shared.config.apim.clone()) else {
         return;
     };
-    let mut kernels = KernelCache::default();
+    let mut kernels = KernelCache::new(&apim);
     while let Some(batch) = shared.intake.pop_batch(shared.config.max_batch) {
         shared.metrics.workers_busy.inc();
         let members: Vec<(u64, &Request, Instant)> = batch
@@ -635,7 +635,7 @@ fn attempt(
                 let (reports, batch) = apim.multiply_batch(pairs, request.mode);
                 JobOutput::Mac { reports, batch }
             }
-            JobKind::Compile { source } => run_compiled(source)?,
+            JobKind::Compile { source } => run_compiled(source, &kernels.options)?,
             JobKind::Pixel { app, .. } => return run_pixels(kernels.get(*app, unit.len())?, unit),
             JobKind::Echo { payload } => JobOutput::Echo(*payload),
         };
@@ -652,13 +652,13 @@ fn fail(reason: impl ToString) -> ServeError {
     }
 }
 
-/// Compiles and gate-executes one expression program. Unbound inputs
-/// default to their declaration index + 1 so open programs still serve.
-fn run_compiled(source: &str) -> Result<JobOutput, ServeError> {
+/// Compiles and gate-executes one expression program for the worker's
+/// device. Unbound inputs default to their declaration index + 1 so open
+/// programs still serve.
+fn run_compiled(source: &str, options: &CompileOptions) -> Result<JobOutput, ServeError> {
     let program =
         apim_compile::parse_program(source).map_err(|e| fail(format!("invalid program: {e}")))?;
-    let compiled = apim_compile::compile(&program.dag, &apim_compile::CompileOptions::default())
-        .map_err(fail)?;
+    let compiled = apim_compile::compile(&program.dag, options).map_err(fail)?;
     let inputs: HashMap<String, u64> = compiled
         .dag()
         .inputs()
@@ -726,19 +726,29 @@ fn run_pixels(
         .collect())
 }
 
-/// One worker's pixel kernels, keyed by `(app, lanes)`: each key runs
-/// [`apim_compile::compile_batched`] once per worker, every pass after that
-/// reuses the program (and still records and lints its own trace). One
-/// lane is the serial program. Pixel kernels are exact in every mode, so
-/// the key carries no mode. At most 2 pixel apps × 64 lane counts; failed
-/// compiles are not cached. Each worker owns its cache, so it takes no
-/// lock.
-#[derive(Default)]
+/// One worker's compile state: the [`CompileOptions`] for its simulator's
+/// device, built once when the worker starts and used by every compile
+/// and pixel job, and its pixel kernels, keyed by `(app, lanes)`. Each key
+/// runs [`apim_compile::compile_batched`] once per worker, every pass after
+/// that reuses the program (and still records and lints its own trace).
+/// One lane is the serial program. Pixel kernels are exact in every mode,
+/// so the key carries no mode. At most 2 pixel apps × 64 lane counts;
+/// failed compiles are not cached. Each worker owns its cache, so it takes
+/// no lock.
 struct KernelCache {
+    options: CompileOptions,
     programs: HashMap<(App, usize), BatchCompiledProgram>,
 }
 
 impl KernelCache {
+    /// An empty cache compiling for `apim`'s device.
+    fn new(apim: &Apim) -> Self {
+        KernelCache {
+            options: CompileOptions::new(apim.config().device.clone()),
+            programs: HashMap::new(),
+        }
+    }
+
     /// The `lanes`-lane kernel of `app`, compiled on first use.
     fn get(&mut self, app: App, lanes: usize) -> Result<&BatchCompiledProgram, ServeError> {
         match self.programs.entry((app, lanes)) {
@@ -746,8 +756,8 @@ impl KernelCache {
             Entry::Vacant(entry) => {
                 let dag = kernel_dag(app)
                     .ok_or_else(|| fail(format!("`{}` has no pixel kernel", app.name())))?;
-                let options = apim_compile::CompileOptions::default();
-                let program = apim_compile::compile_batched(&dag, &options, lanes).map_err(fail)?;
+                let program =
+                    apim_compile::compile_batched(&dag, &self.options, lanes).map_err(fail)?;
                 Ok(entry.insert(program))
             }
         }
@@ -760,7 +770,7 @@ mod tests {
 
     #[test]
     fn kernel_cache_compiles_each_key_once() {
-        let mut kernels = KernelCache::default();
+        let mut kernels = KernelCache::new(&Apim::default());
         let first: *const BatchCompiledProgram = kernels.get(App::Sharpen, 8).unwrap();
         let again: *const BatchCompiledProgram = kernels.get(App::Sharpen, 8).unwrap();
         assert!(std::ptr::eq(first, again), "second lookup recompiled");
@@ -769,7 +779,7 @@ mod tests {
 
     #[test]
     fn kernel_cache_keys_on_lane_count_and_app() {
-        let mut kernels = KernelCache::default();
+        let mut kernels = KernelCache::new(&Apim::default());
         assert_eq!(kernels.get(App::Sobel, 8).unwrap().lanes(), 8);
         assert_eq!(kernels.get(App::Sobel, 64).unwrap().lanes(), 64);
         assert!(kernels.get(App::Sharpen, 8).is_ok());
@@ -778,7 +788,7 @@ mod tests {
 
     #[test]
     fn kernel_cache_retries_failed_keys() {
-        let mut kernels = KernelCache::default();
+        let mut kernels = KernelCache::new(&Apim::default());
         // 65 lanes overflow a packed word; Fft has no pixel kernel.
         for _ in 0..2 {
             assert!(kernels.get(App::Sharpen, 65).is_err());
@@ -793,8 +803,47 @@ mod tests {
     }
 
     #[test]
+    fn kernels_and_compiles_use_the_workers_device() {
+        let device = apim::Device::new(apim::DeviceParams {
+            decoder_pj: 0.05,
+            senseamp_overhead_pj: 0.01,
+            ..apim::DeviceParams::paper()
+        })
+        .unwrap();
+        let apim = Apim::new(ApimConfig {
+            device: device.clone(),
+            ..ApimConfig::default()
+        })
+        .unwrap();
+        let mut kernels = KernelCache::new(&apim);
+        assert_eq!(kernels.options.config.device, device);
+        let mut on_paper = KernelCache::new(&Apim::default());
+        for lanes in [1, 8] {
+            let program = kernels.get(App::Sharpen, lanes).unwrap();
+            assert_eq!(program.model().energy_model(), device.energy());
+            let inputs = vec![bind_taps(program.dag(), &[100, 3, 5, 7, 11]).unwrap(); lanes];
+            let report = program.run(&inputs).unwrap();
+            let paper = on_paper
+                .get(App::Sharpen, lanes)
+                .unwrap()
+                .run(&inputs)
+                .unwrap();
+            // Same answer and cycles, charged at the worker's device.
+            assert_eq!(report.values, paper.values);
+            assert_eq!(report.cycles, paper.cycles);
+            assert!(report.energy > paper.energy, "{lanes} lanes");
+        }
+        let JobOutput::Compile { value, .. } =
+            run_compiled("width 16\nout a * 3", &kernels.options).unwrap()
+        else {
+            panic!("a compile job answers JobOutput::Compile");
+        };
+        assert_eq!(value, 3);
+    }
+
+    #[test]
     fn one_lane_kernels_are_the_serial_programs() {
-        let mut kernels = KernelCache::default();
+        let mut kernels = KernelCache::new(&Apim::default());
         for (app, taps, serial_cycles) in [
             (App::Sharpen, vec![100, 3, 5, 7, 11], Some(3882)),
             (App::Sobel, vec![1, 40, 2, 50, 3, 60], None),

@@ -15,7 +15,7 @@
 //! subtractor, Wallace sum) are checked with every operand bit symbolic.
 
 use apim_crossbar::{BlockedCrossbar, CrossbarConfig, OpTrace, Result, RowAllocator, TraceOp};
-use apim_device::DeviceParams;
+use apim_device::Device;
 use apim_logic::adder_serial::{add_words, SerialScratch};
 use apim_logic::divider::divide;
 use apim_logic::mac::CrossbarMac;
@@ -237,7 +237,7 @@ fn multiplier_run(width: u32, b: u64) -> Result<EquivKernelRun> {
     let n = width as usize;
     let w = 2 * n;
     let a_base = 0x9E37_79B9 & spec::mask(n);
-    let mut mul = CrossbarMultiplier::new(width, &DeviceParams::default())?;
+    let mut mul = CrossbarMultiplier::new(width, &Device::default())?;
     mul.crossbar_mut().start_recording();
     mul.multiply(a_base, b, PrecisionMode::Exact)?;
     let trace = mul.crossbar_mut().stop_recording();
@@ -276,7 +276,7 @@ fn mac_run(width: u32) -> Result<EquivKernelRun> {
         0x1B87_3593 & spec::mask(n),
     ];
     let terms: Vec<(u64, u64)> = a_bases.iter().zip(bs).map(|(&a, b)| (a, b)).collect();
-    let mut mac = CrossbarMac::new(width, terms.len(), &DeviceParams::default())?;
+    let mut mac = CrossbarMac::new(width, terms.len(), &Device::default())?;
     mac.crossbar_mut().start_recording();
     mac.mac(&terms, PrecisionMode::Exact)?;
     let trace = mac.crossbar_mut().stop_recording();

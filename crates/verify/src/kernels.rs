@@ -10,7 +10,7 @@
 use apim_crossbar::{
     AllocEvent, BlockedCrossbar, CrossbarConfig, OpTrace, Result, RowAllocator, RowRef,
 };
-use apim_device::DeviceParams;
+use apim_device::Device;
 use apim_logic::adder_csa::{csa_group, CSA_SCRATCH_ROWS};
 use apim_logic::adder_serial::{add_words, SerialScratch};
 use apim_logic::gates;
@@ -167,7 +167,7 @@ fn record_serial_adder(width: u32) -> Result<RecordedKernel> {
     let trace = xbar.stop_recording();
     scratch.release(&mut alloc)?;
     alloc.free_many(rows)?;
-    let model = CostModel::new(&DeviceParams::default());
+    let model = CostModel::new(&Device::default());
     Ok(RecordedKernel {
         trace,
         events: alloc.take_events(),
@@ -243,11 +243,11 @@ fn record_wallace(width: u32) -> Result<RecordedKernel> {
 fn record_multiplier(width: u32) -> Result<RecordedKernel> {
     let a = 0x9E37_79B9 & mask(width);
     let b = 0x6A09_E667 & mask(width);
-    let mut mul = CrossbarMultiplier::new(width, &DeviceParams::default())?;
+    let mut mul = CrossbarMultiplier::new(width, &Device::default())?;
     mul.crossbar_mut().start_recording();
     mul.multiply(a, b, PrecisionMode::Exact)?;
     let trace = mul.crossbar_mut().stop_recording();
-    let model = CostModel::new(&DeviceParams::default());
+    let model = CostModel::new(&Device::default());
     Ok(RecordedKernel {
         trace,
         events: Vec::new(),
@@ -264,11 +264,11 @@ fn record_mac(width: u32) -> Result<RecordedKernel> {
         (0x0000_00B7 & m, 0x0000_0091 & m),
         (0x0000_0D05 & m, 0x0000_0036 & m),
     ];
-    let mut mac = CrossbarMac::new(width, 4, &DeviceParams::default())?;
+    let mut mac = CrossbarMac::new(width, 4, &Device::default())?;
     mac.crossbar_mut().start_recording();
     mac.mac(&terms, PrecisionMode::Exact)?;
     let trace = mac.crossbar_mut().stop_recording();
-    let model = CostModel::new(&DeviceParams::default());
+    let model = CostModel::new(&Device::default());
     let multipliers: Vec<u64> = terms.iter().map(|&(_, b)| b).collect();
     Ok(RecordedKernel {
         trace,

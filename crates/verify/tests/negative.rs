@@ -3,7 +3,7 @@
 //! each the exact bug class the compiler's post-condition check must stop.
 
 use apim_crossbar::{BlockedCrossbar, CrossbarConfig, RowAllocator, RowRef};
-use apim_device::DeviceParams;
+use apim_device::Device;
 use apim_logic::adder_serial::{add_words, SerialScratch};
 use apim_logic::CostModel;
 use apim_verify::{verify_trace, Pass, Severity};
@@ -159,7 +159,7 @@ fn off_by_one_cost_expectation_fires_cycle_accounting() {
     alloc.free_many(rows).unwrap();
     let events = alloc.take_events();
 
-    let model = CostModel::new(&DeviceParams::default());
+    let model = CostModel::new(&Device::default());
     let correct = model.serial_add(n as u32).cycles.get();
     assert!(
         verify_trace(&trace, &events, Some(correct)).is_clean(),

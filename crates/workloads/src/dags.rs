@@ -20,10 +20,7 @@
 
 use std::collections::HashMap;
 
-use apim_compile::{
-    compile, compile_batched, BatchCompiledProgram, CompileError, CompileOptions, CompiledProgram,
-    Dag,
-};
+use apim_compile::{BatchCompiledProgram, CompileError, CompiledProgram, Dag};
 use apim_logic::{CostModel, PrecisionMode};
 
 use crate::arith::FX_SHIFT;
@@ -196,15 +193,14 @@ fn bind(pairs: &[(&str, i64)]) -> HashMap<String, u64> {
 }
 
 /// Runs the sharpening filter with every pixel's inner loop executed by
-/// the compiled [`sharpen_dag`] at the gate level — the compiler-driven
-/// twin of [`crate::sharpen::sharpen`]. The program is compiled once and
-/// re-run per pixel.
+/// `program`, the compiled [`sharpen_dag`], at the gate level — the
+/// compiler-driven twin of [`crate::sharpen::sharpen`]. The caller
+/// compiles once; the program is re-run per pixel.
 ///
 /// # Errors
 ///
-/// Propagates compile/placement/verification errors from `apim-compile`.
-pub fn sharpen_via_dag(input: &Image) -> Result<Image, CompileError> {
-    let program = compile(&sharpen_dag(), &CompileOptions::default())?;
+/// Propagates execution/verification errors from `apim-compile`.
+pub fn sharpen_via_dag(program: &CompiledProgram, input: &Image) -> Result<Image, CompileError> {
     let (w, h) = (input.width(), input.height());
     let mut out = Vec::with_capacity(w * h);
     for y in 0..h as isize {
@@ -286,19 +282,21 @@ fn sharpen_taps(input: &Image, x: isize, y: isize) -> HashMap<String, u64> {
     ])
 }
 
-/// Lane-batched [`sharpen_via_dag`]: the same compiled microprogram, but
-/// run once per `lanes`-pixel tile instead of once per pixel — every lane
-/// carries one pixel's five taps, and a single gate-level pass produces
-/// the whole tile (§3.1's column parallelism across *instances*). The
-/// serial path remains the differential oracle; outputs are bit-identical.
+/// Lane-batched [`sharpen_via_dag`]: `program` is [`sharpen_dag`]
+/// compiled by [`apim_compile::compile_batched`], run once per `program.lanes()`-pixel
+/// tile instead of once per pixel — every lane carries one pixel's five
+/// taps, and a single gate-level pass produces the whole tile (§3.1's
+/// column parallelism across *instances*). The serial path remains the
+/// differential oracle; outputs are bit-identical.
 ///
 /// # Errors
 ///
-/// Propagates compile/placement/verification errors from `apim-compile`,
-/// including [`CompileError::BatchUnsupported`] for lane counts outside
-/// `1..=64`.
-pub fn sharpen_via_dag_batched(input: &Image, lanes: usize) -> Result<Image, CompileError> {
-    let program = compile_batched(&sharpen_dag(), &CompileOptions::default(), lanes)?;
+/// Propagates execution/verification errors from `apim-compile`.
+pub fn sharpen_via_dag_batched(
+    program: &BatchCompiledProgram,
+    input: &Image,
+) -> Result<Image, CompileError> {
+    let lanes = program.lanes();
     let (w, h) = (input.width(), input.height());
     let coords: Vec<(isize, isize)> = (0..h as isize)
         .flat_map(|y| (0..w as isize).map(move |x| (x, y)))
@@ -309,7 +307,7 @@ pub fn sharpen_via_dag_batched(input: &Image, lanes: usize) -> Result<Image, Com
             .iter()
             .map(|&(x, y)| sharpen_taps(input, x, y))
             .collect();
-        for acc in run_tile(&program, bindings)? {
+        for acc in run_tile(program, bindings)? {
             out.push((acc as i64).clamp(0, i64::from(255 << FX_SHIFT)) as i32);
         }
     }
@@ -317,19 +315,20 @@ pub fn sharpen_via_dag_batched(input: &Image, lanes: usize) -> Result<Image, Com
 }
 
 /// Lane-batched Sobel: gradient magnitudes for the whole image with each
-/// `lanes`-pixel tile computed in two gate-level passes (one per gradient
-/// direction) of the compiled [`sobel_gradient_dag`], instead of two
-/// passes *per pixel*. Magnitude and renormalization stay on the host,
-/// exactly as in [`crate::sobel::sobel`] — outputs are bit-identical to
-/// the hand kernel.
+/// `program.lanes()`-pixel tile computed in two gate-level passes (one
+/// per gradient direction) of `program`, the [`apim_compile::compile_batched`]
+/// [`sobel_gradient_dag`], instead of two passes *per pixel*. Magnitude
+/// and renormalization stay on the host, exactly as in
+/// [`crate::sobel::sobel`] — outputs are bit-identical to the hand kernel.
 ///
 /// # Errors
 ///
-/// Propagates compile/placement/verification errors from `apim-compile`,
-/// including [`CompileError::BatchUnsupported`] for lane counts outside
-/// `1..=64`.
-pub fn sobel_via_dag_batched(input: &Image, lanes: usize) -> Result<Image, CompileError> {
-    let program = compile_batched(&sobel_gradient_dag(), &CompileOptions::default(), lanes)?;
+/// Propagates execution/verification errors from `apim-compile`.
+pub fn sobel_via_dag_batched(
+    program: &BatchCompiledProgram,
+    input: &Image,
+) -> Result<Image, CompileError> {
+    let lanes = program.lanes();
     let (w, h) = (input.width(), input.height());
     let coords: Vec<(isize, isize)> = (0..h as isize)
         .flat_map(|y| (0..w as isize).map(move |x| (x, y)))
@@ -365,8 +364,8 @@ pub fn sobel_via_dag_batched(input: &Image, lanes: usize) -> Result<Image, Compi
                 ])
             })
             .collect();
-        let gxs = run_tile(&program, gx_bindings)?;
-        let gys = run_tile(&program, gy_bindings)?;
+        let gxs = run_tile(program, gx_bindings)?;
+        let gys = run_tile(program, gy_bindings)?;
         for (gx, gy) in gxs.into_iter().zip(gys) {
             let (gx, gy) = (gx as i64, gy as i64);
             let mag = ((gx.abs() + gy.abs()) >> FX_SHIFT).clamp(0, i64::from(i32::MAX));
@@ -383,13 +382,15 @@ mod tests {
     use crate::image::synthetic_image;
     use crate::sharpen::sharpen;
     use crate::sobel::sobel;
-    use apim_device::DeviceParams;
+    use apim_compile::{compile, compile_batched, CompileOptions};
+    use apim_device::Device;
 
     #[test]
     fn sharpen_via_dag_is_bit_identical_to_hand_kernel() {
         let img = synthetic_image(6, 6, 42);
         let hand = sharpen(&img, &mut ExactArith::new());
-        let compiled = sharpen_via_dag(&img).unwrap();
+        let program = compile(&sharpen_dag(), &CompileOptions::default()).unwrap();
+        let compiled = sharpen_via_dag(&program, &img).unwrap();
         assert_eq!(hand, compiled);
     }
 
@@ -440,7 +441,7 @@ mod tests {
 
     #[test]
     fn compiled_cost_is_within_quarter_of_hand_baseline() {
-        let model = CostModel::new(&DeviceParams::default());
+        let model = CostModel::new(&Device::default());
         for (dag, hand, name) in [
             (sharpen_dag(), sharpen_hand_cycles(&model), "sharpen"),
             (
@@ -495,7 +496,8 @@ mod tests {
         let img = synthetic_image(6, 6, 42);
         let hand = sharpen(&img, &mut ExactArith::new());
         // 36 pixels, 64 lanes: one padded tile covers the whole image.
-        let batched = sharpen_via_dag_batched(&img, 64).unwrap();
+        let program = compile_batched(&sharpen_dag(), &CompileOptions::default(), 64).unwrap();
+        let batched = sharpen_via_dag_batched(&program, &img).unwrap();
         assert_eq!(hand, batched);
     }
 
@@ -504,7 +506,9 @@ mod tests {
         let img = synthetic_image(5, 5, 3);
         let hand = sobel(&img, &mut ExactArith::new());
         // 25 pixels at 16 lanes: one full tile plus a padded partial one.
-        let batched = sobel_via_dag_batched(&img, 16).unwrap();
+        let program =
+            compile_batched(&sobel_gradient_dag(), &CompileOptions::default(), 16).unwrap();
+        let batched = sobel_via_dag_batched(&program, &img).unwrap();
         assert_eq!(hand, batched);
     }
 

@@ -6,7 +6,7 @@
 //! cargo run --example alu_playground --release
 //! ```
 
-use apim::{DeviceParams, PrecisionMode};
+use apim::{Device, PrecisionMode};
 use apim_crossbar::{BlockedCrossbar, CrossbarConfig, CrossbarError, RowAllocator};
 use apim_logic::adder_serial::SerialScratch;
 use apim_logic::divider::divide;
@@ -16,7 +16,7 @@ use apim_logic::subtractor::{greater_equal, subtract};
 use apim_logic::vector::VectorUnit;
 
 fn main() -> Result<(), CrossbarError> {
-    let params = DeviceParams::default();
+    let device = Device::default();
     println!("the APIM ALU, gate level (8/16-bit operands)\n");
     println!("{:<34} {:>14} {:>10}", "operation", "result", "cycles");
 
@@ -56,7 +56,7 @@ fn main() -> Result<(), CrossbarError> {
         (xbar.stats().cycles - before).get()
     );
 
-    let mut mul = CrossbarMultiplier::new(16, &params)?;
+    let mut mul = CrossbarMultiplier::new(16, &device)?;
     let run = mul.multiply(0xBEEF, 0x1234, PrecisionMode::Exact)?;
     println!(
         "{:<34} {:>14} {:>10}",
@@ -72,7 +72,7 @@ fn main() -> Result<(), CrossbarError> {
         run.stats.cycles.get()
     );
 
-    let mut mac = CrossbarMac::new(8, 4, &params)?;
+    let mut mac = CrossbarMac::new(8, 4, &device)?;
     let run = mac.mac(
         &[(12, 34), (56, 78), (90, 12), (34, 56)],
         PrecisionMode::Exact,
@@ -84,7 +84,7 @@ fn main() -> Result<(), CrossbarError> {
         run.stats.cycles.get()
     );
 
-    let mut vu = VectorUnit::new(8, 8, &params)?;
+    let mut vu = VectorUnit::new(8, 8, &device)?;
     let run = vu.add(&[
         (1, 2),
         (3, 4),

@@ -7,7 +7,7 @@
 //! ```
 
 use apim::prelude::*;
-use apim::{ApimError, DeviceParams};
+use apim::{ApimError, Device, DeviceParams};
 use apim_crossbar::Fault;
 use apim_device::sense::SenseAnalysis;
 use apim_logic::multiplier::CrossbarMultiplier;
@@ -37,7 +37,7 @@ fn main() -> Result<(), ApimError> {
     );
 
     // --- Fault detection in action ---
-    let mut mul = CrossbarMultiplier::new(16, &DeviceParams::default())?;
+    let mut mul = CrossbarMultiplier::new(16, &Device::default())?;
     let pp_block = mul.crossbar().block(2)?;
     mul.crossbar_mut()
         .inject_fault(pp_block, 0, 7, Some(Fault::StuckAtOne))?;
@@ -61,8 +61,8 @@ fn main() -> Result<(), ApimError> {
     );
 
     // --- Endurance: fixed vs wear-leveled scratch rows ---
-    let mut fixed = CrossbarMultiplier::new(16, &DeviceParams::default())?;
-    let mut leveled = CrossbarMultiplier::new_with_wear_leveling(16, &DeviceParams::default(), 4)?;
+    let mut fixed = CrossbarMultiplier::new(16, &Device::default())?;
+    let mut leveled = CrossbarMultiplier::new_with_wear_leveling(16, &Device::default(), 4)?;
     for i in 0..32u64 {
         fixed.multiply(40_000 + i, 51_111, PrecisionMode::Exact)?;
         leveled.multiply(40_000 + i, 51_111, PrecisionMode::Exact)?;

@@ -6,7 +6,7 @@
 //! cargo run --example gate_level_lab --release
 //! ```
 
-use apim::{DeviceParams, PrecisionMode};
+use apim::{Device, PrecisionMode};
 use apim_crossbar::{BlockedCrossbar, CrossbarConfig, CrossbarError, Fault, RowRef};
 use apim_logic::multiplier::CrossbarMultiplier;
 
@@ -28,7 +28,7 @@ fn main() -> Result<(), CrossbarError> {
     println!("  {}", xbar.stats());
 
     // --- A full multiplication, watched at cycle granularity -----------
-    let mut mul = CrossbarMultiplier::new(16, &DeviceParams::default())?;
+    let mut mul = CrossbarMultiplier::new(16, &Device::default())?;
     let run = mul.multiply(0xBEEF, 0x1234, PrecisionMode::Exact)?;
     println!("\n16x16 exact multiply on the crossbar:");
     println!(

@@ -69,8 +69,7 @@ fn adaptive_trial_count_matches_trajectory() {
 
 #[test]
 fn stuck_at_fault_corrupts_products_deterministically() {
-    let params = apim::DeviceParams::default();
-    let mut mul = CrossbarMultiplier::new(8, &params).unwrap();
+    let mut mul = CrossbarMultiplier::new(8, &apim::Device::default()).unwrap();
     let clean = mul
         .multiply(200, 170, PrecisionMode::Exact)
         .unwrap()
@@ -112,8 +111,7 @@ fn stuck_at_zero_is_caught_by_the_init_discipline() {
     // state; the crossbar's strict initialization check turns what would
     // be silent corruption into a detectable execution error — a free
     // fault-detection property of the init-then-evaluate discipline.
-    let params = apim::DeviceParams::default();
-    let mut mul = CrossbarMultiplier::new(8, &params).unwrap();
+    let mut mul = CrossbarMultiplier::new(8, &apim::Device::default()).unwrap();
     let p0 = mul.crossbar().block(1).unwrap();
     let not_row = mul.crossbar().rows() - 1;
     mul.crossbar_mut()
@@ -141,8 +139,7 @@ fn stuck_at_zero_is_caught_by_the_init_discipline() {
 
 #[test]
 fn endurance_counters_accumulate_with_use() {
-    let params = apim::DeviceParams::default();
-    let mut mul = CrossbarMultiplier::new(8, &params).unwrap();
+    let mut mul = CrossbarMultiplier::new(8, &apim::Device::default()).unwrap();
     let mut last = 0;
     for i in 0..4 {
         mul.multiply(123, 231, PrecisionMode::Exact).unwrap();

@@ -3,16 +3,16 @@
 //! functional semantics == native integer math (exact mode), with cycle
 //! counts equal to the analytic cost model.
 
-use apim::{DeviceParams, PrecisionMode};
+use apim::{Device, DeviceParams, PrecisionMode};
 use apim_logic::error_analysis::SplitMix64;
 use apim_logic::multiplier::CrossbarMultiplier;
 use apim_logic::{functional, CostModel};
 
 #[test]
 fn sixteen_bit_multiplier_chain_holds_across_modes() {
-    let params = DeviceParams::default();
-    let mut mul = CrossbarMultiplier::new(16, &params).unwrap();
-    let model = CostModel::new(&params);
+    let device = Device::default();
+    let mut mul = CrossbarMultiplier::new(16, &device).unwrap();
+    let model = CostModel::new(&device);
     let mut rng = SplitMix64::new(0xC0FFEE);
     for _ in 0..10 {
         let a = rng.next_bits(16);
@@ -43,9 +43,9 @@ fn sixteen_bit_multiplier_chain_holds_across_modes() {
 
 #[test]
 fn thirty_two_bit_multiplier_spot_check() {
-    let params = DeviceParams::default();
-    let mut mul = CrossbarMultiplier::new(32, &params).unwrap();
-    let model = CostModel::new(&params);
+    let device = Device::default();
+    let mut mul = CrossbarMultiplier::new(32, &device).unwrap();
+    let model = CostModel::new(&device);
     let (a, b) = (0xDEAD_BEEFu64, 0x7654_3210u64);
     let run = mul.multiply(a, b, PrecisionMode::Exact).unwrap();
     assert_eq!(run.product, a as u128 * b as u128);
@@ -78,11 +78,13 @@ fn workload_arith_matches_functional_semantics() {
 
 #[test]
 fn cost_model_is_device_parameter_sensitive() {
-    let slow = CostModel::new(&DeviceParams {
+    let slow = Device::new(DeviceParams {
         cycle_ns: 3.3,
         ..Default::default()
-    });
-    let fast = CostModel::new(&DeviceParams::default());
+    })
+    .unwrap();
+    let slow = CostModel::new(&slow);
+    let fast = CostModel::new(&Device::default());
     let cost = fast.multiply_expected(32, PrecisionMode::Exact);
     let cost_slow = slow.multiply_expected(32, PrecisionMode::Exact);
     // Same cycles, different wall-clock.

@@ -85,7 +85,8 @@ fn custom_device_parameters_flow_through() {
         cycle_ns: 2.2,
         ..Default::default()
     };
-    let slow = Apim::new(ApimConfig::builder().params(params).build().unwrap()).unwrap();
+    let device = apim::Device::new(params).unwrap();
+    let slow = Apim::new(ApimConfig::builder().device(device).build().unwrap()).unwrap();
     let fast = Apim::default();
     let app = App::Robert;
     let t_slow = slow

@@ -124,9 +124,9 @@ fn column_mode_magic_computes_a_transposed_not() {
 #[test]
 fn wear_leveled_multiplier_is_a_drop_in_replacement() {
     use apim_logic::multiplier::CrossbarMultiplier;
-    let mut plain = CrossbarMultiplier::new(8, &apim::DeviceParams::default()).unwrap();
+    let mut plain = CrossbarMultiplier::new(8, &apim::Device::default()).unwrap();
     let mut leveled =
-        CrossbarMultiplier::new_with_wear_leveling(8, &apim::DeviceParams::default(), 3).unwrap();
+        CrossbarMultiplier::new_with_wear_leveling(8, &apim::Device::default(), 3).unwrap();
     for (a, b) in [(255u64, 255u64), (173, 89), (6, 240), (99, 99)] {
         for mode in [
             PrecisionMode::Exact,

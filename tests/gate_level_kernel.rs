@@ -6,7 +6,7 @@
 //! This is the strongest form of the repo's central invariant: not one
 //! operation, but a whole kernel, gate level.
 
-use apim::{DeviceParams, PrecisionMode};
+use apim::{Device, PrecisionMode};
 use apim_logic::mac::{mac_trunc_functional, CrossbarMac};
 use apim_logic::CostModel;
 
@@ -33,8 +33,8 @@ fn whole_convolution_runs_gate_level() {
         PrecisionMode::LastStage { relax_bits: 4 },
         PrecisionMode::LastStage { relax_bits: 8 },
     ] {
-        let mut mac = CrossbarMac::new(8, 3, &DeviceParams::default()).unwrap();
-        let model = CostModel::new(&DeviceParams::default());
+        let mut mac = CrossbarMac::new(8, 3, &Device::default()).unwrap();
+        let model = CostModel::new(&Device::default());
         let mut total_cycles = 0u64;
         let mut outputs = Vec::new();
         for i in 0..SIGNAL.len() {
@@ -75,7 +75,7 @@ fn whole_convolution_runs_gate_level() {
 #[test]
 fn relaxation_cuts_the_whole_kernel_cost() {
     let run_kernel = |mode: PrecisionMode| -> (u64, f64) {
-        let mut mac = CrossbarMac::new(8, 3, &DeviceParams::default()).unwrap();
+        let mut mac = CrossbarMac::new(8, 3, &Device::default()).unwrap();
         let mut cycles = 0;
         let mut energy = 0.0;
         for i in 0..SIGNAL.len() {
@@ -95,7 +95,7 @@ fn relaxation_cuts_the_whole_kernel_cost() {
 
 #[test]
 fn relaxed_kernel_output_stays_close() {
-    let mut mac = CrossbarMac::new(8, 3, &DeviceParams::default()).unwrap();
+    let mut mac = CrossbarMac::new(8, 3, &Device::default()).unwrap();
     let mut max_err = 0u64;
     for i in 0..SIGNAL.len() {
         let terms = conv_terms(i);
