@@ -6,11 +6,12 @@
 //! interleaved lane layout of [`apim_logic::lanes`]: logical column `c`
 //! of lane `j` sits at bitline `c · lanes + j`, so at one lane it is the
 //! plain word layout and the machine runs the serial program. Each DAG
-//! node is realized with the primitive sequences the hand-written kernels
-//! use (`add_words`/`add_lanes`, `sub_words`/`sub_lanes`, the Wallace
-//! reduction, the MAC's shared-NOT partial-product generator), placed per
-//! the [`Placement`]'s row map. Column-parallel MAGIC NOR costs one cycle
-//! however wide its span, so `L` lanes cost what one does.
+//! node is realized with the lane-generic netlists the hand-written
+//! kernels are built from (`add_lanes`, `sub_lanes`, the Wallace
+//! reduction, the MAC's shared-NOT partial-product generator, the §3.4
+//! `relaxed_final_add`), placed per the [`Placement`]'s row map.
+//! Column-parallel MAGIC NOR costs one cycle however wide its span, so `L`
+//! lanes cost what one does.
 //!
 //! **Data steers control only at one lane.** The serial program reads the
 //! multiplier through the sense amplifiers to place partial products,
@@ -34,10 +35,10 @@ use apim_crossbar::{
     AllocEvent, BlockId, BlockedCrossbar, CrossbarConfig, OpTrace, RowAllocator, RowRef,
 };
 use apim_device::{Device, Joules};
-use apim_logic::adder_serial::{add_words, add_words_with_carry, SerialScratch};
+use apim_logic::adder_serial::SerialScratch;
 use apim_logic::functional::partial_product_shifts;
 use apim_logic::lanes::{add_lanes, preload_lanes, read_lanes, sub_lanes};
-use apim_logic::subtractor::sub_words;
+use apim_logic::multiplier::relaxed_final_add;
 use apim_logic::wallace::reduce_rows_to_two_lanes;
 use apim_logic::{CostModel, PrecisionMode};
 use apim_verify::{check_equiv, verify_trace, EquivReport, LintReport, OutputBinding};
@@ -486,15 +487,10 @@ impl Machine<'_> {
         Ok(staging_row)
     }
 
-    /// Stores one value per lane into `slot` (free of cycles): one word
-    /// write at one lane, the interleaved bit transpose otherwise.
+    /// Stores one value per lane into `slot` (free of cycles).
     fn preload(&mut self, slot: Slot, values: &[u64]) -> Result<(), CompileError> {
-        let (block, n) = (self.blocks[slot.block], self.n);
-        if self.lanes == 1 {
-            self.xbar.preload_u64(block, slot.row, 0, n, values[0])?;
-        } else {
-            preload_lanes(self.xbar, block, slot.row, 0, n, self.lanes, values)?;
-        }
+        let block = self.blocks[slot.block];
+        preload_lanes(self.xbar, block, slot.row, 0, self.n, self.lanes, values)?;
         Ok(())
     }
 
@@ -508,15 +504,10 @@ impl Machine<'_> {
     }
 
     /// `out = x + y` over the whole word through compute block `b`'s
-    /// serial netlist (`12n + 1` cycles): the scattered single-cell
-    /// netlist at one lane, its lane-span widening otherwise.
+    /// serial netlist (`12n + 1` cycles).
     fn add(&mut self, b: usize, x: usize, y: usize, out: usize) -> Result<(), CompileError> {
         let (block, n, lanes) = (self.blocks[b], self.n, self.lanes);
-        if lanes == 1 {
-            add_words(self.xbar, block, x, y, out, 0..n, &self.scratch[b])?;
-        } else {
-            add_lanes(self.xbar, block, x, y, out, 0..n, lanes, &self.scratch[b])?;
-        }
+        add_lanes(self.xbar, block, x, y, out, 0..n, lanes, &self.scratch[b])?;
         Ok(())
     }
 
@@ -525,11 +516,7 @@ impl Machine<'_> {
     fn sub(&mut self, x: usize, y: usize, out: usize) -> Result<(), CompileError> {
         let (block, n, lanes) = (self.blocks[0], self.n, self.lanes);
         let scratch = &self.scratch[0];
-        if lanes == 1 {
-            sub_words(self.xbar, block, x, y, ROW_AUX, out, 0..n, scratch)?;
-        } else {
-            sub_lanes(self.xbar, block, x, y, ROW_AUX, out, 0..n, lanes, scratch)?;
-        }
+        sub_lanes(self.xbar, block, x, y, ROW_AUX, out, 0..n, lanes, scratch)?;
         Ok(())
     }
 
@@ -793,32 +780,14 @@ impl Machine<'_> {
             return Ok(());
         }
         debug_assert_eq!(self.lanes, 1, "relaxed final add at more than one lane");
-        // Approximate LSBs: a MAJ + write-back carry chain in AUX, then
-        // one parallel inversion into the partner block's RES row.
-        self.xbar.preload_bit(s, ROW_AUX, 0, false)?;
-        for col in 0..m {
-            let carry = self
-                .xbar
-                .maj_read(s, [(t0, col), (t1, col), (ROW_AUX, col)])?;
-            self.xbar.write_back_bit(s, ROW_AUX, col + 1, carry)?;
-        }
-        self.xbar.init_rows(self.blocks[oi], &[ROW_RES], 0..m)?;
-        self.xbar.nor_rows_shifted(
-            &[RowRef::new(s, ROW_AUX)],
-            RowRef::new(self.blocks[oi], ROW_RES),
-            1..m + 1,
-            -1,
-        )?;
+        // MAJ carries in AUX; the approximate LSBs land in the partner
+        // block's RES row, the exact high bits in this block's.
+        let low = RowRef::new(self.blocks[oi], ROW_RES);
+        let scratch = &self.scratch[si];
+        relaxed_final_add(self.xbar, s, t0, t1, ROW_AUX, ROW_RES, low, n, m, scratch)?;
         if m == n {
             return self.copy(res(oi), dest, 0, n, 0);
         }
-        // Hand the exact boundary carry to the serial netlist and finish
-        // the high bits.
-        let scratch = &self.scratch[si];
-        self.xbar.init_cells(s, &[(scratch.carry, m)])?;
-        self.xbar
-            .nor_cells(s, &[(ROW_AUX, m)], (scratch.carry, m))?;
-        add_words_with_carry(self.xbar, s, t0, t1, ROW_RES, m..n, scratch)?;
         self.copy(res(oi), dest, 0, m, 0)?;
         self.copy(res(si), dest, m, n, 0)
     }

@@ -18,9 +18,14 @@
 //!
 //! One initial NOR complements the (zero) carry seed, giving `12N + 1`
 //! cycles total — exactly the count \[24\] and the paper quote.
+//!
+//! The netlist has one body, the lane-generic [`crate::lanes::add_lanes`];
+//! [`add_words`] and [`add_words_with_carry`] are it at one lane.
 
 use apim_crossbar::{BlockId, BlockedCrossbar, Result, RowAllocator};
 use std::ops::Range;
+
+use crate::lanes::{add_lanes, add_lanes_with_carry};
 
 /// Scratch layout for the serial adder: ten netlist rows, one carry row and
 /// one all-zero seed row, all in the operands' block.
@@ -30,7 +35,8 @@ pub struct SerialScratch {
     pub netlist: [usize; 10],
     /// Carry-complement chain: cell at column `c` holds `Cin'` of bit `c`.
     pub carry: usize,
-    /// A row whose cell is forced to zero to seed the carry chain.
+    /// The carry-seed row: its cell holds the carry-in (0 to add, 1 to
+    /// subtract) and its complement starts the carry chain.
     pub zero: usize,
 }
 
@@ -64,7 +70,7 @@ impl SerialScratch {
 
 /// Adds the words in `x_row` and `y_row` over `cols`, writing sum bits into
 /// `out_row` (same columns). Carry-in is zero. Costs `12N + 1` cycles for
-/// `N = cols.len()`.
+/// `N = cols.len()`: [`add_lanes`] at one lane.
 ///
 /// The final carry-complement is left at `(scratch.carry, cols.end)` for
 /// callers that need the carry-out.
@@ -81,20 +87,13 @@ pub fn add_words(
     cols: Range<usize>,
     scratch: &SerialScratch,
 ) -> Result<()> {
-    // Seed: zero the seed cell defensively, then Cin'(first bit) = NOR(0).
-    xbar.preload_bit(block, scratch.zero, cols.start, false)?;
-    xbar.init_cells(block, &[(scratch.carry, cols.start)])?;
-    xbar.nor_cells(
-        block,
-        &[(scratch.zero, cols.start)],
-        (scratch.carry, cols.start),
-    )?;
-    add_words_with_carry(xbar, block, x_row, y_row, out_row, cols, scratch)
+    add_lanes(xbar, block, x_row, y_row, out_row, cols, 1, scratch)
 }
 
 /// Adds the words in `x_row` and `y_row` over `cols` with the carry chain
 /// seeded from an existing complemented carry at
-/// `(scratch.carry, cols.start)`. Costs `12N` cycles.
+/// `(scratch.carry, cols.start)`. Costs `12N` cycles:
+/// [`add_lanes_with_carry`] at one lane.
 ///
 /// This is the entry point used by the mixed-precision final product stage
 /// (§3.4), where the approximate region hands over its exactly-computed
@@ -112,34 +111,7 @@ pub fn add_words_with_carry(
     cols: Range<usize>,
     scratch: &SerialScratch,
 ) -> Result<()> {
-    let [n1, n2, n3, n4, n5, m1, m2, m3, q1, q2] = scratch.netlist;
-    let carry = scratch.carry;
-    for c in cols {
-        let a = (x_row, c);
-        let b = (y_row, c);
-        let cin = (carry, c);
-        // Each netlist op: initialize the output cell, then evaluate.
-        let op = |xbar: &mut BlockedCrossbar,
-                  inputs: &[(usize, usize)],
-                  out: (usize, usize)|
-         -> Result<()> {
-            xbar.init_cells(block, &[out])?;
-            xbar.nor_cells(block, inputs, out)
-        };
-        op(xbar, &[a, b], (n1, c))?;
-        op(xbar, &[a, (n1, c)], (n2, c))?;
-        op(xbar, &[b, (n1, c)], (n3, c))?;
-        op(xbar, &[(n2, c), (n3, c)], (n4, c))?;
-        op(xbar, &[(n4, c)], (n5, c))?;
-        op(xbar, &[(n5, c), cin], (m1, c))?;
-        op(xbar, &[(n5, c), (m1, c)], (m2, c))?;
-        op(xbar, &[cin, (m1, c)], (m3, c))?;
-        op(xbar, &[(m2, c), (m3, c)], (out_row, c))?;
-        op(xbar, &[(n4, c), cin], (q1, c))?;
-        op(xbar, &[(n1, c), (n2, c), (n3, c)], (q2, c))?;
-        op(xbar, &[(q1, c), (q2, c)], (carry, c + 1))?;
-    }
-    Ok(())
+    add_lanes_with_carry(xbar, block, x_row, y_row, out_row, cols, 1, scratch)
 }
 
 #[cfg(test)]

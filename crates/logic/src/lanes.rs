@@ -1,5 +1,5 @@
-//! Lane-batched operand layout: 64 independent instances per microprogram
-//! pass.
+//! Lane-generic arithmetic: one netlist per primitive, run over `L ≤ 64`
+//! independent instances per microprogram pass.
 //!
 //! The paper's column-parallel NOR costs one cycle regardless of how many
 //! bitlines it spans, so a kernel whose netlist touches logical column `c`
@@ -16,11 +16,12 @@
 //! existing `preload_u64` / `peek_u64` word APIs (one word per *bit
 //! position*, carrying that bit of all `L` instances).
 //!
-//! [`add_lanes`] / [`sub_lanes`] are the lane-batched twins of
-//! [`crate::adder_serial::add_words`] / [`crate::subtractor::sub_words`]:
-//! identical netlists, identical cycle counts (`12N + 1` / `12N + 2`), with
-//! every scattered single-cell NOR widened into a
-//! [`BlockedCrossbar::nor_lanes`] over the lane span.
+//! [`add_lanes`], [`add_lanes_with_carry`] and [`sub_lanes`] are the only
+//! bodies of the `12N + 1` ripple adder and the `12N + 2` subtractor; the
+//! word kernels [`crate::adder_serial::add_words`] and
+//! [`crate::subtractor::sub_words`] are these netlists at `lanes = 1`, and
+//! the cycle counts do not depend on `lanes`. The lane count only picks
+//! which crossbar ops a gate drives, once per call, in `LaneOps`.
 
 use apim_crossbar::{BlockId, BlockedCrossbar, CrossbarError, Result, RowRef, WORD_BITS};
 use std::ops::Range;
@@ -37,10 +38,76 @@ fn check_lanes(lanes: usize) -> Result<()> {
     Ok(())
 }
 
+/// One netlist gate: initialize the output span, then NOR the inputs into
+/// it (one cycle). Cells are `(row, first bitline of the lane span)`.
+type Gate =
+    fn(&mut BlockedCrossbar, BlockId, &[(usize, usize)], (usize, usize), usize) -> Result<()>;
+
+/// The crossbar ops one primitive call drives, picked once from its lane
+/// count — the only place the lane count chooses ops. One lane drives
+/// single cells (`init_cells` / `nor_cells`, a `preload_bit` carry seed),
+/// so the word kernels record exactly the scattered single-cell trace; more
+/// lanes drive the span ops (`init_rows` / `nor_lanes`, a `preload_u64`
+/// seed word) over `lanes` bitlines.
+#[derive(Clone, Copy)]
+struct LaneOps {
+    block: BlockId,
+    lanes: usize,
+    gate: Gate,
+}
+
+impl LaneOps {
+    fn new(block: BlockId, lanes: usize) -> Result<Self> {
+        check_lanes(lanes)?;
+        let gate: Gate = if lanes == 1 {
+            |xbar, block, inputs, out, _| {
+                xbar.init_cells(block, &[out])?;
+                xbar.nor_cells(block, inputs, out)
+            }
+        } else {
+            |xbar, block, inputs, out, lanes| {
+                xbar.init_rows(block, &[out.0], out.1..out.1 + lanes)?;
+                xbar.nor_lanes(block, inputs, out, lanes)
+            }
+        };
+        Ok(LaneOps { block, lanes, gate })
+    }
+
+    /// `out = NOR(inputs)` in every lane.
+    fn gate(
+        &self,
+        xbar: &mut BlockedCrossbar,
+        inputs: &[(usize, usize)],
+        out: (usize, usize),
+    ) -> Result<()> {
+        (self.gate)(xbar, self.block, inputs, out, self.lanes)
+    }
+
+    /// Seeds the complemented carry chain at bitline `p` with `carry_in`
+    /// in every lane: the seed cells hold `carry_in` and the chain starts
+    /// at `Cin' = NOR(seed)` (one cycle).
+    fn seed_carry(
+        &self,
+        xbar: &mut BlockedCrossbar,
+        scratch: &SerialScratch,
+        p: usize,
+        carry_in: bool,
+    ) -> Result<()> {
+        if self.lanes == 1 {
+            xbar.preload_bit(self.block, scratch.zero, p, carry_in)?;
+        } else {
+            let word = (u64::MAX >> (WORD_BITS - self.lanes)) * u64::from(carry_in);
+            xbar.preload_u64(self.block, scratch.zero, p, self.lanes, word)?;
+        }
+        self.gate(xbar, &[(scratch.zero, p)], (scratch.carry, p))
+    }
+}
+
 /// Stores `values[j]` (each `width` bits) as lane `j` of the interleaved
 /// layout rooted at `col0`: bit `i` of lane `j` lands at bitline
-/// `col0 + i * lanes + j`. One `preload_u64` per bit position; free of
-/// cycles, charged as writes.
+/// `col0 + i * lanes + j`. One lane is one `preload_u64` of the whole
+/// word, more lanes one per bit position; free of cycles, charged as
+/// writes.
 ///
 /// # Errors
 ///
@@ -61,6 +128,9 @@ pub fn preload_lanes(
             "preload_lanes got {} values for {lanes} lanes",
             values.len()
         )));
+    }
+    if lanes == 1 {
+        return xbar.preload_u64(block, row, col0, width, values[0]);
     }
     for bit in 0..width {
         let mut word = 0u64;
@@ -97,7 +167,7 @@ pub fn read_lanes(
     Ok(values)
 }
 
-/// Lane-batched serial addition over logical columns `cols`: lane `j` of
+/// Serial ripple addition over logical columns `cols`: lane `j` of
 /// `out_row` receives `x_j + y_j mod 2^N`. Carry-in is zero in every lane.
 /// Costs `12N + 1` cycles for `N = cols.len()` — independent of `lanes`,
 /// which is the whole point.
@@ -122,18 +192,14 @@ pub fn add_lanes(
     lanes: usize,
     scratch: &SerialScratch,
 ) -> Result<()> {
-    check_lanes(lanes)?;
-    let p = cols.start * lanes;
-    // Seed: zero the seed span, then Cin' = NOR(0) in every lane at once.
-    xbar.preload_zeros(block, scratch.zero, p, lanes)?;
-    xbar.init_rows(block, &[scratch.carry], p..p + lanes)?;
-    xbar.nor_lanes(block, &[(scratch.zero, p)], (scratch.carry, p), lanes)?;
+    LaneOps::new(block, lanes)?.seed_carry(xbar, scratch, cols.start * lanes, false)?;
     add_lanes_with_carry(xbar, block, x_row, y_row, out_row, cols, lanes, scratch)
 }
 
 /// [`add_lanes`] with the carry chain seeded from existing complemented
 /// carries in the lane span at logical column `cols.start` of
-/// `scratch.carry`. Costs `12N` cycles.
+/// `scratch.carry`. Costs `12N` cycles. The 12-NOR full-adder netlist is
+/// drawn in [`crate::adder_serial`].
 ///
 /// # Errors
 ///
@@ -149,7 +215,7 @@ pub fn add_lanes_with_carry(
     lanes: usize,
     scratch: &SerialScratch,
 ) -> Result<()> {
-    check_lanes(lanes)?;
+    let ops = LaneOps::new(block, lanes)?;
     let [n1, n2, n3, n4, n5, m1, m2, m3, q1, q2] = scratch.netlist;
     let carry = scratch.carry;
     for c in cols {
@@ -157,36 +223,27 @@ pub fn add_lanes_with_carry(
         let a = (x_row, p);
         let b = (y_row, p);
         let cin = (carry, p);
-        // Each netlist op: initialize the output span, then evaluate all
-        // lanes in one cycle.
-        let op = |xbar: &mut BlockedCrossbar,
-                  inputs: &[(usize, usize)],
-                  out: (usize, usize)|
-         -> Result<()> {
-            xbar.init_rows(block, &[out.0], out.1..out.1 + lanes)?;
-            xbar.nor_lanes(block, inputs, out, lanes)
-        };
-        op(xbar, &[a, b], (n1, p))?;
-        op(xbar, &[a, (n1, p)], (n2, p))?;
-        op(xbar, &[b, (n1, p)], (n3, p))?;
-        op(xbar, &[(n2, p), (n3, p)], (n4, p))?;
-        op(xbar, &[(n4, p)], (n5, p))?;
-        op(xbar, &[(n5, p), cin], (m1, p))?;
-        op(xbar, &[(n5, p), (m1, p)], (m2, p))?;
-        op(xbar, &[cin, (m1, p)], (m3, p))?;
-        op(xbar, &[(m2, p), (m3, p)], (out_row, p))?;
-        op(xbar, &[(n4, p), cin], (q1, p))?;
-        op(xbar, &[(n1, p), (n2, p), (n3, p)], (q2, p))?;
-        op(xbar, &[(q1, p), (q2, p)], (carry, p + lanes))?;
+        ops.gate(xbar, &[a, b], (n1, p))?;
+        ops.gate(xbar, &[a, (n1, p)], (n2, p))?;
+        ops.gate(xbar, &[b, (n1, p)], (n3, p))?;
+        ops.gate(xbar, &[(n2, p), (n3, p)], (n4, p))?;
+        ops.gate(xbar, &[(n4, p)], (n5, p))?;
+        ops.gate(xbar, &[(n5, p), cin], (m1, p))?;
+        ops.gate(xbar, &[(n5, p), (m1, p)], (m2, p))?;
+        ops.gate(xbar, &[cin, (m1, p)], (m3, p))?;
+        ops.gate(xbar, &[(m2, p), (m3, p)], (out_row, p))?;
+        ops.gate(xbar, &[(n4, p), cin], (q1, p))?;
+        ops.gate(xbar, &[(n1, p), (n2, p), (n3, p)], (q2, p))?;
+        ops.gate(xbar, &[(q1, p), (q2, p)], (carry, p + lanes))?;
     }
     Ok(())
 }
 
-/// Lane-batched two's-complement subtraction: lane `j` of `out_row`
+/// Two's-complement subtraction `x − y = x + ȳ + 1`: lane `j` of `out_row`
 /// receives `x_j − y_j mod 2^N`. Costs `12N + 2` cycles, independent of
-/// `lanes` — the complement is one column-parallel NOT over the whole
-/// interleaved span (which is contiguous), and the `+1` rides the carry
-/// seed exactly as in [`crate::subtractor::sub_words`].
+/// `lanes`: the complement is one column-parallel NOT over the whole
+/// interleaved span (which is contiguous) into `not_y_row`, and the `+1`
+/// is a carry seed of 1 instead of 0.
 ///
 /// # Errors
 ///
@@ -203,10 +260,8 @@ pub fn sub_lanes(
     lanes: usize,
     scratch: &SerialScratch,
 ) -> Result<()> {
-    check_lanes(lanes)?;
+    let ops = LaneOps::new(block, lanes)?;
     let span = cols.start * lanes..cols.end * lanes;
-    // ȳ in every lane: the interleaved span is contiguous, so the plain
-    // column-parallel NOT covers all lanes in one cycle.
     xbar.init_rows(block, &[not_y_row], span.clone())?;
     xbar.nor_rows_shifted(
         &[RowRef::new(block, y_row)],
@@ -214,11 +269,7 @@ pub fn sub_lanes(
         span,
         0,
     )?;
-    // Carry-in = 1 per lane: complement is 0 = NOR(1).
-    let p = cols.start * lanes;
-    xbar.preload_u64(block, scratch.zero, p, lanes, u64::MAX >> (64 - lanes))?;
-    xbar.init_rows(block, &[scratch.carry], p..p + lanes)?;
-    xbar.nor_lanes(block, &[(scratch.zero, p)], (scratch.carry, p), lanes)?;
+    ops.seed_carry(xbar, scratch, cols.start * lanes, true)?;
     add_lanes_with_carry(xbar, block, x_row, not_y_row, out_row, cols, lanes, scratch)
 }
 
@@ -288,8 +339,10 @@ mod tests {
     #[test]
     fn add_lanes_matches_serial_spec_in_every_lane() {
         for backend in [Backend::Packed, Backend::Scalar] {
-            let (sums, expected, _) = run_add_lanes(backend, 64, 8);
-            assert_eq!(sums, expected, "{backend:?}");
+            for lanes in [1, 2, 64] {
+                let (sums, expected, _) = run_add_lanes(backend, lanes, 8);
+                assert_eq!(sums, expected, "{backend:?}, lanes = {lanes}");
+            }
         }
     }
 
@@ -305,65 +358,36 @@ mod tests {
     #[test]
     fn sub_lanes_matches_serial_spec_in_every_lane() {
         let n = 8;
-        let lanes = 64;
         for backend in [Backend::Packed, Backend::Scalar] {
-            let mut xbar = wide_xbar(backend);
-            let blk = xbar.block(1).unwrap();
-            let xs: Vec<u64> = (0..lanes as u64)
-                .map(|j| (j * 97 + 3) & spec::mask(n))
-                .collect();
-            let ys: Vec<u64> = (0..lanes as u64)
-                .map(|j| (j * 59 + 77) & spec::mask(n))
-                .collect();
-            preload_lanes(&mut xbar, blk, 0, 0, n, lanes, &xs).unwrap();
-            preload_lanes(&mut xbar, blk, 1, 0, n, lanes, &ys).unwrap();
-            let mut alloc = RowAllocator::new(xbar.rows());
-            alloc.alloc_many(4).unwrap();
-            let scratch = SerialScratch::alloc(&mut alloc).unwrap();
-            let before = *xbar.stats();
-            sub_lanes(&mut xbar, blk, 0, 1, 2, 3, 0..n, lanes, &scratch).unwrap();
-            assert_eq!(
-                (*xbar.stats() - before).cycles.get(),
-                (12 * n + 2) as u64,
-                "{backend:?}"
-            );
-            let got = read_lanes(&xbar, blk, 3, 0, n, lanes).unwrap();
-            let expected: Vec<u64> = xs
-                .iter()
-                .zip(&ys)
-                .map(|(&x, &y)| spec::sub(x, y, n))
-                .collect();
-            assert_eq!(got, expected, "{backend:?}");
+            for lanes in [1, 2, 64] {
+                let mut xbar = wide_xbar(backend);
+                let blk = xbar.block(1).unwrap();
+                let xs: Vec<u64> = (0..lanes as u64)
+                    .map(|j| (j * 97 + 3) & spec::mask(n))
+                    .collect();
+                let ys: Vec<u64> = (0..lanes as u64)
+                    .map(|j| (j * 59 + 77) & spec::mask(n))
+                    .collect();
+                preload_lanes(&mut xbar, blk, 0, 0, n, lanes, &xs).unwrap();
+                preload_lanes(&mut xbar, blk, 1, 0, n, lanes, &ys).unwrap();
+                let mut alloc = RowAllocator::new(xbar.rows());
+                alloc.alloc_many(4).unwrap();
+                let scratch = SerialScratch::alloc(&mut alloc).unwrap();
+                let before = *xbar.stats();
+                sub_lanes(&mut xbar, blk, 0, 1, 2, 3, 0..n, lanes, &scratch).unwrap();
+                assert_eq!(
+                    (*xbar.stats() - before).cycles.get(),
+                    (12 * n + 2) as u64,
+                    "{backend:?}, lanes = {lanes}"
+                );
+                let got = read_lanes(&xbar, blk, 3, 0, n, lanes).unwrap();
+                let expected: Vec<u64> = xs
+                    .iter()
+                    .zip(&ys)
+                    .map(|(&x, &y)| spec::sub(x, y, n))
+                    .collect();
+                assert_eq!(got, expected, "{backend:?}, lanes = {lanes}");
+            }
         }
-    }
-
-    #[test]
-    fn one_lane_batch_is_bit_identical_to_the_serial_adder() {
-        // The serial adder is the L = 1 specialization: same netlist, same
-        // cycle count, same result.
-        let n = 8;
-        let (x, y) = (0xA7u64, 0x5C);
-        let mut xbar = wide_xbar(Backend::Packed);
-        let blk = xbar.block(1).unwrap();
-        preload_lanes(&mut xbar, blk, 0, 0, n, 1, &[x]).unwrap();
-        preload_lanes(&mut xbar, blk, 1, 0, n, 1, &[y]).unwrap();
-        let mut alloc = RowAllocator::new(xbar.rows());
-        alloc.alloc_many(3).unwrap();
-        let scratch = SerialScratch::alloc(&mut alloc).unwrap();
-        add_lanes(&mut xbar, blk, 0, 1, 2, 0..n, 1, &scratch).unwrap();
-        let batched = read_lanes(&xbar, blk, 2, 0, n, 1).unwrap()[0];
-
-        let mut serial = wide_xbar(Backend::Packed);
-        let blk = serial.block(1).unwrap();
-        serial.preload_u64(blk, 0, 0, n, x).unwrap();
-        serial.preload_u64(blk, 1, 0, n, y).unwrap();
-        let mut alloc = RowAllocator::new(serial.rows());
-        alloc.alloc_many(3).unwrap();
-        let scratch = SerialScratch::alloc(&mut alloc).unwrap();
-        crate::adder_serial::add_words(&mut serial, blk, 0, 1, 2, 0..n, &scratch).unwrap();
-        let reference = serial.peek_u64(blk, 2, 0, n).unwrap();
-
-        assert_eq!(batched, reference);
-        assert_eq!(batched, spec::add(x, y, n));
     }
 }

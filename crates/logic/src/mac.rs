@@ -12,16 +12,14 @@
 //! Products are truncated `n`-bit C `int` semantics; the accumulation wraps
 //! modulo `2^n` exactly like the kernels it models.
 
-use apim_crossbar::{
-    Backend, BlockedCrossbar, CrossbarConfig, CrossbarError, Result, RowAllocator, Stats,
-};
+use apim_crossbar::{Backend, BlockedCrossbar, CrossbarConfig, CrossbarError, Result, Stats};
 use apim_device::Device;
 
 use crate::adder_csa::CSA_SCRATCH_ROWS;
-use crate::adder_serial::{add_words, add_words_with_carry, SerialScratch};
 use crate::functional::partial_product_shifts;
+use crate::multiplier::final_product;
 use crate::precision::PrecisionMode;
-use crate::wallace::reduce_rows_to_two;
+use crate::wallace::reduce_rows_to_two_lanes;
 
 /// Outcome of one fused MAC evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -199,58 +197,19 @@ impl CrossbarMac {
             0 => 0,
             1 => self.xbar.peek_u64(p1, 0, 0, w)?,
             _ => {
-                let (block, survivors) = reduce_rows_to_two(&mut self.xbar, p1, p0, pp_rows, 0..w)?;
+                let (block, survivors) =
+                    reduce_rows_to_two_lanes(&mut self.xbar, p1, p0, pp_rows, 0..w, 1, 0)?;
                 debug_assert_eq!(survivors, 2);
                 let other = if block == p0 { p1 } else { p0 };
                 let m = (mode.relaxed_product_bits() as usize).min(w);
-                self.final_add(block, other, w, m)?
+                // A w ≤ 64-bit sum: the cast is lossless.
+                final_product(&mut self.xbar, block, other, w, m, 0)? as u64
             }
         };
         Ok(MacRun {
             value,
             stats: *self.xbar.stats() - snapshot,
         })
-    }
-
-    fn final_add(
-        &mut self,
-        block: apim_crossbar::BlockId,
-        other: apim_crossbar::BlockId,
-        w: usize,
-        m: usize,
-    ) -> Result<u64> {
-        let mut alloc = RowAllocator::new(self.xbar.rows());
-        alloc.alloc_many(3)?;
-        let carry_row = alloc.alloc()?;
-        let scratch = SerialScratch::alloc(&mut alloc)?;
-        if m == 0 {
-            add_words(&mut self.xbar, block, 0, 1, 2, 0..w, &scratch)?;
-            return self.xbar.peek_u64(block, 2, 0, w);
-        }
-        self.xbar.preload_bit(block, carry_row, 0, false)?;
-        for i in 0..m {
-            let carry = self
-                .xbar
-                .maj_read(block, [(0, i), (1, i), (carry_row, i)])?;
-            self.xbar.write_back_bit(block, carry_row, i + 1, carry)?;
-        }
-        self.xbar.init_rows(other, &[0], 0..m)?;
-        self.xbar.nor_rows_shifted(
-            &[apim_crossbar::RowRef::new(block, carry_row)],
-            apim_crossbar::RowRef::new(other, 0),
-            1..m + 1,
-            -1,
-        )?;
-        let low = self.xbar.peek_u64(other, 0, 0, m)?;
-        if m == w {
-            return Ok(low);
-        }
-        self.xbar.init_cells(block, &[(scratch.carry, m)])?;
-        self.xbar
-            .nor_cells(block, &[(carry_row, m)], (scratch.carry, m))?;
-        add_words_with_carry(&mut self.xbar, block, 0, 1, 2, m..w, &scratch)?;
-        let high = self.xbar.peek_u64(block, 2, m, w - m)?;
-        Ok(low | high << m)
     }
 }
 

@@ -11,11 +11,13 @@
 //!    configurable interconnect. The first NOT of the copy pair is computed
 //!    once and reused, so the stage costs `ones + 1` cycles (worst case
 //!    `N + 1`).
-//! 2. **Fast reduction** — [`crate::wallace::reduce_rows_to_two`] brings the
-//!    partial products down to two operands in `13 · stages` cycles.
-//! 3. **Final product generation** — exact serial addition, the §3.4
-//!    sense-amplifier MAJ approximation, or the mixed `k`-exact/`m`-relaxed
-//!    split, per the configured [`PrecisionMode`].
+//! 2. **Fast reduction** — [`crate::wallace::reduce_rows_to_two_lanes`]
+//!    brings the partial products down to two operands in `13 · stages`
+//!    cycles.
+//! 3. **Final product generation** — exact serial addition, or
+//!    [`relaxed_final_add`]: the §3.4 sense-amplifier MAJ approximation of
+//!    the `m` low bits with the exact ripple above them, per the configured
+//!    [`PrecisionMode`].
 //!
 //! Two product windows are supported: the full `2N`-bit product
 //! ([`CrossbarMultiplier::multiply`], §3.4's `k + m = 2N` framing) and the
@@ -29,7 +31,8 @@
 //! enforced by tests.
 
 use apim_crossbar::{
-    Backend, BlockId, BlockedCrossbar, CrossbarConfig, CrossbarError, Result, RowAllocator, Stats,
+    Backend, BlockId, BlockedCrossbar, CrossbarConfig, CrossbarError, Result, RowAllocator, RowRef,
+    Stats,
 };
 use apim_device::Device;
 
@@ -37,7 +40,7 @@ use crate::adder_csa::CSA_SCRATCH_ROWS;
 use crate::adder_serial::{add_words, add_words_with_carry, SerialScratch};
 use crate::functional::partial_product_shifts;
 use crate::precision::PrecisionMode;
-use crate::wallace::reduce_rows_to_two_at;
+use crate::wallace::reduce_rows_to_two_lanes;
 
 /// Per-stage cost split of one multiplication (the §3.2 remark that the
 /// tree's speed is bought with extra writes/energy is visible here).
@@ -251,12 +254,8 @@ impl CrossbarMultiplier {
         // Shared first NOT of the multiplicand (reused by every copy).
         let not_row = self.xbar.rows() - 1;
         self.xbar.init_rows(p0, &[not_row], 0..n)?;
-        self.xbar.nor_rows_shifted(
-            &[apim_crossbar::RowRef::new(data, 0)],
-            apim_crossbar::RowRef::new(p0, not_row),
-            0..n,
-            0,
-        )?;
+        self.xbar
+            .nor_rows_shifted(&[RowRef::new(data, 0)], RowRef::new(p0, not_row), 0..n, 0)?;
         for (row, &shift) in shifts.iter().enumerate() {
             // Fresh operand row: clear the full product window.
             self.xbar.preload_zeros(p1, base + row, 0, w + 2)?;
@@ -264,8 +263,8 @@ impl CrossbarMultiplier {
             let hi = (lo + n).min(w);
             self.xbar.init_rows(p1, &[base + row], lo..hi)?;
             self.xbar.nor_rows_shifted(
-                &[apim_crossbar::RowRef::new(p0, not_row)],
-                apim_crossbar::RowRef::new(p1, base + row),
+                &[RowRef::new(p0, not_row)],
+                RowRef::new(p1, base + row),
                 0..hi - lo,
                 shift as isize,
             )?;
@@ -282,7 +281,8 @@ impl CrossbarMultiplier {
 
         // ---- Stage 2: Wallace reduction, toggling between the blocks ----
         let before_tree = *self.xbar.stats();
-        let (block, survivors) = reduce_rows_to_two_at(&mut self.xbar, p1, p0, ones, 0..w, base)?;
+        let (block, survivors) =
+            reduce_rows_to_two_lanes(&mut self.xbar, p1, p0, ones, 0..w, 1, base)?;
         debug_assert_eq!(survivors, 2);
         let other = if block == p0 { p1 } else { p0 };
         breakdown.reduction = *self.xbar.stats() - before_tree;
@@ -290,7 +290,7 @@ impl CrossbarMultiplier {
         // ---- Stage 3: final product generation (§3.4) ----
         let before_final = *self.xbar.stats();
         let m = (mode.relaxed_product_bits() as usize).min(w);
-        let product = self.final_stage(block, other, w, m, base)?;
+        let product = final_product(&mut self.xbar, block, other, w, m, base)?;
         breakdown.final_stage = *self.xbar.stats() - before_final;
         Ok(MulRun {
             product,
@@ -298,78 +298,100 @@ impl CrossbarMultiplier {
             breakdown,
         })
     }
+}
 
-    /// Final two-operand addition of rows 0 and 1 of `block` with `m`
-    /// relaxed LSBs; returns the assembled product.
-    fn final_stage(
-        &mut self,
-        block: BlockId,
-        other: BlockId,
-        w: usize,
-        m: usize,
-        base: usize,
-    ) -> Result<u128> {
-        // The tree left the two operands in rows base/base+1; the rest of
-        // the region hosts the final stage's rows.
-        let mut alloc = RowAllocator::new(self.xbar.rows());
-        alloc.alloc_many(base + 2)?; // skip earlier regions + the operands
-        let out_row = alloc.alloc()?;
-        let exact_carry_row = alloc.alloc()?; // exact carries of the relaxed region
-        let scratch = SerialScratch::alloc(&mut alloc)?;
-
-        if m == 0 {
-            add_words(
-                &mut self.xbar,
-                block,
-                base,
-                base + 1,
-                out_row,
-                0..w,
-                &scratch,
-            )?;
-            return peek_wide(&self.xbar, block, out_row, 0, w);
-        }
-
-        // Relaxed region: exact carries via the MAJ sense amplifier
-        // (1 cycle) + write-back (1 cycle) per bit.
-        self.xbar.preload_bit(block, exact_carry_row, 0, false)?;
-        for i in 0..m {
-            let carry = self
-                .xbar
-                .maj_read(block, [(base, i), (base + 1, i), (exact_carry_row, i)])?;
-            self.xbar
-                .write_back_bit(block, exact_carry_row, i + 1, carry)?;
-        }
-        // All relaxed sum bits at once: S[i] = NOT(C[i+1]), one parallel
-        // NOR through the interconnect (shift −1).
-        self.xbar.init_rows(other, &[base], 0..m)?;
-        self.xbar.nor_rows_shifted(
-            &[apim_crossbar::RowRef::new(block, exact_carry_row)],
-            apim_crossbar::RowRef::new(other, base),
-            1..m + 1,
-            -1,
-        )?;
-        let low = peek_wide(&self.xbar, other, base, 0, m)?;
-        if m == w {
-            return Ok(low);
-        }
-
-        // Exact region: complement the boundary carry, then ripple.
-        self.xbar.init_cells(block, &[(scratch.carry, m)])?;
-        self.xbar
-            .nor_cells(block, &[(exact_carry_row, m)], (scratch.carry, m))?;
-        add_words_with_carry(
-            &mut self.xbar,
-            block,
-            base,
-            base + 1,
-            out_row,
-            m..w,
-            &scratch,
-        )?;
-        let high = peek_wide(&self.xbar, block, out_row, m, w - m)?;
-        Ok(low | high << m)
+/// Final two-operand addition of rows `base`/`base + 1` of `block` with
+/// `m` relaxed LSBs; returns the `w`-bit result. The rest of the region
+/// above the operands hosts the result row, the MAJ-carry row and the
+/// serial scratch; the relaxed bits land in row `base` of `other`. Shared
+/// by the multiplier and the fused MAC.
+pub(crate) fn final_product(
+    xbar: &mut BlockedCrossbar,
+    block: BlockId,
+    other: BlockId,
+    w: usize,
+    m: usize,
+    base: usize,
+) -> Result<u128> {
+    let mut alloc = RowAllocator::new(xbar.rows());
+    alloc.alloc_many(base + 2)?; // skip earlier regions + the operands
+    let out_row = alloc.alloc()?;
+    let carry_row = alloc.alloc()?; // exact carries of the relaxed region
+    let scratch = SerialScratch::alloc(&mut alloc)?;
+    if m == 0 {
+        add_words(xbar, block, base, base + 1, out_row, 0..w, &scratch)?;
+        return peek_wide(xbar, block, out_row, 0, w);
     }
+    let low = RowRef::new(other, base);
+    relaxed_final_add(
+        xbar,
+        block,
+        base,
+        base + 1,
+        carry_row,
+        out_row,
+        low,
+        w,
+        m,
+        &scratch,
+    )?;
+    let low = peek_wide(xbar, other, base, 0, m)?;
+    if m == w {
+        return Ok(low);
+    }
+    let high = peek_wide(xbar, block, out_row, m, w - m)?;
+    Ok(low | high << m)
+}
+
+/// The §3.4 final product generation with `1 ≤ m ≤ w` relaxed LSBs, over
+/// the operands in rows `x_row`/`y_row` of `block`:
+///
+/// 1. the exact carries of the relaxed region through the MAJ sense
+///    amplifier, one read and one write-back into `carry_row` per bit
+///    (2 cycles each);
+/// 2. every relaxed sum bit at once, `S[i] = NOT(C[i+1])`, as one parallel
+///    NOR through the interconnect (shift −1) into `low`, a row of the
+///    partner block;
+/// 3. unless `m == w`, the boundary carry complemented into the serial
+///    scratch (1 cycle) and the `12 (w − m)`-cycle ripple of the high bits
+///    into `out_row`, columns `m..w`.
+///
+/// The MAJ reads steer write-backs, so the schedule is one-lane only.
+///
+/// # Errors
+///
+/// Rejects `m == 0` and `m > w`; propagates crossbar errors.
+#[allow(clippy::too_many_arguments)] // one parameter per row of the layout
+pub fn relaxed_final_add(
+    xbar: &mut BlockedCrossbar,
+    block: BlockId,
+    x_row: usize,
+    y_row: usize,
+    carry_row: usize,
+    out_row: usize,
+    low: RowRef,
+    w: usize,
+    m: usize,
+    scratch: &SerialScratch,
+) -> Result<()> {
+    if m == 0 || m > w {
+        return Err(CrossbarError::InvalidConfig(format!(
+            "relaxed final add needs 1 ..= {w} relaxed bits, got {m}"
+        )));
+    }
+    xbar.preload_bit(block, carry_row, 0, false)?;
+    for i in 0..m {
+        let carry = xbar.maj_read(block, [(x_row, i), (y_row, i), (carry_row, i)])?;
+        xbar.write_back_bit(block, carry_row, i + 1, carry)?;
+    }
+    xbar.init_rows(low.block, &[low.row], 0..m)?;
+    xbar.nor_rows_shifted(&[RowRef::new(block, carry_row)], low, 1..m + 1, -1)?;
+    if m == w {
+        return Ok(());
+    }
+    xbar.init_cells(block, &[(scratch.carry, m)])?;
+    xbar.nor_cells(block, &[(carry_row, m)], (scratch.carry, m))?;
+    add_words_with_carry(xbar, block, x_row, y_row, out_row, m..w, scratch)
 }
 
 /// Debug read of up to 128 bits (the `2N`-bit product window) as ≤ 64-bit

@@ -4,12 +4,13 @@
 //! `a − t` in the FFT) run in-memory as two's-complement addition:
 //! `x − y = x + ȳ + 1`. The complement is one column-parallel NOT (one
 //! cycle) and the `+1` rides the serial adder's carry seed for free — the
-//! seed cell is simply *not* complemented. Total: `12N + 2` cycles.
+//! seed cell holds 1 instead of 0. Total: `12N + 2` cycles.
 
-use apim_crossbar::{BlockId, BlockedCrossbar, Result, RowAllocator, RowRef};
+use apim_crossbar::{BlockId, BlockedCrossbar, Result, RowAllocator};
 use std::ops::Range;
 
-use crate::adder_serial::{add_words_with_carry, SerialScratch};
+use crate::adder_serial::SerialScratch;
+use crate::lanes::sub_lanes;
 
 /// Subtracts the word in `y_row` from the word in `x_row` over `cols`
 /// (two's complement, wrapping at the word width), writing the difference
@@ -17,7 +18,7 @@ use crate::adder_serial::{add_words_with_carry, SerialScratch};
 /// serial adder's [`SerialScratch`].
 ///
 /// Costs `12N + 2` cycles: one NOT for the complement, one NOR seeding the
-/// carry chain with 1, then the `12N` ripple.
+/// carry chain with 1, then the `12N` ripple — [`sub_lanes`] at one lane.
 ///
 /// # Errors
 ///
@@ -33,26 +34,9 @@ pub fn sub_words(
     cols: Range<usize>,
     scratch: &SerialScratch,
 ) -> Result<()> {
-    // ȳ, column-parallel (one cycle).
-    xbar.init_rows(block, &[not_y_row], cols.clone())?;
-    xbar.nor_rows_shifted(
-        &[RowRef::new(block, y_row)],
-        RowRef::new(block, not_y_row),
-        cols.clone(),
-        0,
-    )?;
-    // Carry-in = 1: its complement is 0 — produced by NORing the (ON)
-    // initialized seed cell with itself... simpler: NOR of a cell holding 1.
-    // The freshly complemented ȳ row is handy only if y had a 1 there; use
-    // the always-initialized seed: init the carry cell then NOR an ON cell.
-    xbar.preload_bit(block, scratch.zero, cols.start, true)?;
-    xbar.init_cells(block, &[(scratch.carry, cols.start)])?;
-    xbar.nor_cells(
-        block,
-        &[(scratch.zero, cols.start)],
-        (scratch.carry, cols.start),
-    )?;
-    add_words_with_carry(xbar, block, x_row, not_y_row, out_row, cols, scratch)
+    sub_lanes(
+        xbar, block, x_row, y_row, not_y_row, out_row, cols, 1, scratch,
+    )
 }
 
 /// Convenience: builds the scratch, runs [`sub_words`] and reads the

@@ -38,65 +38,28 @@ fn zero_row(
     xbar.preload_zeros(block, row, cols.start * lanes, width)
 }
 
-/// Reduces the operands stored in rows `0..count` of `src` down to at most
-/// two, ping-ponging between `src` and `dst`.
+/// Reduces the operands stored in rows `base .. base + count` of `src`
+/// down to at most two, ping-ponging between `src` and `dst`. Every row
+/// holds `lanes` independent operands in the interleaved layout of
+/// [`crate::lanes`] (logical column `c` of lane `j` at bitline
+/// `c * lanes + j`; one lane is the plain word layout), and each stage
+/// compresses all of them at once via [`crate::adder_csa::csa_group_lanes`].
 ///
-/// Returns the block holding the survivors and how many there are (rows
-/// `0..returned_count` of that block, in the canonical order matching
+/// The whole working region (operands, stage outputs, scratch) is offset
+/// by `base` wordlines, which wear-leveling callers rotate across
+/// invocations. Returns the block holding the survivors and how many there
+/// are (rows `base ..` of that block, in the canonical order matching
 /// [`crate::functional::reduce_step`]).
 ///
 /// Each stage charges exactly 13 cycles (see the module docs); the total is
-/// `13 · tree_stages(count)`.
-///
-/// # Errors
-///
-/// Propagates crossbar errors; each block needs at least
-/// `count + CSA_SCRATCH_ROWS` rows and `cols.end + 2` columns.
-pub fn reduce_rows_to_two(
-    xbar: &mut BlockedCrossbar,
-    src: BlockId,
-    dst: BlockId,
-    count: usize,
-    cols: Range<usize>,
-) -> Result<(BlockId, usize)> {
-    reduce_rows_to_two_at(xbar, src, dst, count, cols, 0)
-}
-
-/// [`reduce_rows_to_two`] with the whole working region (operands, stage
-/// outputs, scratch) offset by `base` wordlines — used by wear-leveling
-/// callers that rotate regions across invocations. Operands must sit in
-/// rows `base .. base + count`; survivors land in rows `base`/`base + 1`.
-///
-/// # Errors
-///
-/// Same conditions as [`reduce_rows_to_two`], with the row budget shifted
-/// by `base`.
-pub fn reduce_rows_to_two_at(
-    xbar: &mut BlockedCrossbar,
-    src: BlockId,
-    dst: BlockId,
-    count: usize,
-    cols: Range<usize>,
-    base: usize,
-) -> Result<(BlockId, usize)> {
-    reduce_rows_to_two_lanes(xbar, src, dst, count, cols, 1, base)
-}
-
-/// Lane-batched [`reduce_rows_to_two_at`]: every row holds `lanes`
-/// independent operands in the interleaved layout of [`crate::lanes`]
-/// (logical column `c` of lane `j` at bitline `c * lanes + j`), and each
-/// 13-cycle stage compresses all of them at once via
-/// [`crate::adder_csa::csa_group_lanes`].
-///
-/// `reduce_rows_to_two_at` is exactly the `lanes = 1` specialization; the
-/// stage count — and so the cycle total — is identical at every lane
-/// count, which is the batching win.
+/// `13 · tree_stages(count)` at every lane count, which is the batching
+/// win.
 ///
 /// # Errors
 ///
 /// Propagates crossbar errors; each block needs `base + count +
 /// CSA_SCRATCH_ROWS` rows and `(cols.end + 2) * lanes` columns.
-#[allow(clippy::too_many_arguments)] // mirrors reduce_rows_to_two_at + lanes
+#[allow(clippy::too_many_arguments)] // one parameter per dimension of the region
 pub fn reduce_rows_to_two_lanes(
     xbar: &mut BlockedCrossbar,
     src: BlockId,
@@ -176,7 +139,7 @@ pub fn reduce_rows_to_two_lanes(
 /// # Errors
 ///
 /// Propagates crossbar errors (row/column budget as in
-/// [`reduce_rows_to_two`], plus 13 rows for the final serial adder).
+/// [`reduce_rows_to_two_lanes`], plus 13 rows for the final serial adder).
 pub fn sum_rows(
     xbar: &mut BlockedCrossbar,
     src: BlockId,
@@ -188,7 +151,7 @@ pub fn sum_rows(
         return Ok((src, 0)); // row 0 untouched; caller sees its own zeros
     }
     let cols = 0..result_bits;
-    let (block, survivors) = reduce_rows_to_two(xbar, src, dst, count, cols.clone())?;
+    let (block, survivors) = reduce_rows_to_two_lanes(xbar, src, dst, count, cols.clone(), 1, 0)?;
     if survivors < 2 {
         return Ok((block, 0));
     }
@@ -234,7 +197,8 @@ mod tests {
         let values: Vec<u64> = vec![11, 22, 33, 44, 55, 66, 77, 88, 99];
         let window = 12;
         let (mut xbar, src, dst) = setup(&values, window);
-        let (block, k) = reduce_rows_to_two(&mut xbar, src, dst, values.len(), 0..window).unwrap();
+        let (block, k) =
+            reduce_rows_to_two_lanes(&mut xbar, src, dst, values.len(), 0..window, 1, 0).unwrap();
         assert_eq!(k, 2);
         let a = from_bits(&xbar.peek_word(block, 0, 0, window + 1).unwrap());
         let b = from_bits(&xbar.peek_word(block, 1, 0, window + 1).unwrap());
@@ -246,7 +210,8 @@ mod tests {
         let values: Vec<u64> = vec![0x3A, 0x15, 0x77, 0x01, 0xFF, 0x2C, 0x63];
         let window = 12;
         let (mut xbar, src, dst) = setup(&values, window);
-        let (block, k) = reduce_rows_to_two(&mut xbar, src, dst, values.len(), 0..window).unwrap();
+        let (block, k) =
+            reduce_rows_to_two_lanes(&mut xbar, src, dst, values.len(), 0..window, 1, 0).unwrap();
         assert_eq!(k, 2);
         let expected =
             functional::reduce_to_two(&values.iter().map(|&v| v as u128).collect::<Vec<_>>());
@@ -260,7 +225,7 @@ mod tests {
     fn nine_operands_take_four_stages() {
         let values: Vec<u64> = (1..=9).collect();
         let (mut xbar, src, dst) = setup(&values, 8);
-        reduce_rows_to_two(&mut xbar, src, dst, 9, 0..8).unwrap();
+        reduce_rows_to_two_lanes(&mut xbar, src, dst, 9, 0..8, 1, 0).unwrap();
         assert_eq!(
             xbar.stats().cycles.get(),
             4 * 13,
@@ -309,7 +274,7 @@ mod tests {
     #[test]
     fn small_counts_are_noops() {
         let (mut xbar, src, dst) = setup(&[5, 7], 8);
-        let (block, k) = reduce_rows_to_two(&mut xbar, src, dst, 2, 0..8).unwrap();
+        let (block, k) = reduce_rows_to_two_lanes(&mut xbar, src, dst, 2, 0..8, 1, 0).unwrap();
         assert_eq!((block, k), (src, 2));
         assert_eq!(xbar.stats().cycles.get(), 0);
         let _ = dst;

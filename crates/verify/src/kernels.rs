@@ -16,7 +16,7 @@ use apim_logic::adder_serial::{add_words, SerialScratch};
 use apim_logic::gates;
 use apim_logic::mac::CrossbarMac;
 use apim_logic::multiplier::CrossbarMultiplier;
-use apim_logic::wallace::reduce_rows_to_two;
+use apim_logic::wallace::reduce_rows_to_two_lanes;
 use apim_logic::{CostModel, PrecisionMode};
 
 use crate::passes::verify_trace;
@@ -229,7 +229,7 @@ fn record_wallace(width: u32) -> Result<RecordedKernel> {
         let v = (37 * i as u64 + 11) & mask(width);
         xbar.preload_word(src, *row, 0, &to_bits(v, n))?;
     }
-    reduce_rows_to_two(&mut xbar, src, dst, COUNT, 0..n)?;
+    reduce_rows_to_two_lanes(&mut xbar, src, dst, COUNT, 0..n, 1, 0)?;
     let trace = xbar.stop_recording();
     alloc.free_many(region)?;
     Ok(RecordedKernel {

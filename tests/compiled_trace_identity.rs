@@ -5,7 +5,8 @@
 //! an FNV-1a digest over every recorded op's `Debug` rendering. The pins
 //! cover the serial program (one lane, including the value-steered forms:
 //! the sense-amp multiplier read, the Shr sign write-back and the relaxed
-//! §3.4 MAJ final add) and the lane-batched program at 8 and 64 lanes.
+//! §3.4 MAJ final add) and the lane-batched program at 8 and 64 lanes; a
+//! `Sub` chain runs serially and at 8 lanes.
 //! Any change to the emitted primitives, their order or their operands
 //! moves a digest.
 
@@ -110,6 +111,19 @@ fn steered_dag() -> Dag {
     dag
 }
 
+/// A difference chain, `(x − y) − z`: the only pinned DAG that emits
+/// `Sub` nodes.
+fn difference_dag() -> Dag {
+    let mut dag = Dag::new(16).unwrap();
+    let x = dag.input("x").unwrap();
+    let y = dag.input("y").unwrap();
+    let z = dag.input("z").unwrap();
+    let d = dag.sub(x, y).unwrap();
+    let r = dag.sub(d, z).unwrap();
+    dag.set_root(r).unwrap();
+    dag
+}
+
 fn steered_inputs() -> HashMap<String, u64> {
     [("x", 51234), ("y", 47111), ("z", 1234)]
         .into_iter()
@@ -154,6 +168,18 @@ fn serial_programs_match_their_pins() {
                 energy_j: 3.941_139_220_520_623_5e-11,
                 trace_len: 1087,
                 digest: 0xecad_be1f_56f4_8b8e,
+            },
+        ),
+        (
+            "difference",
+            difference_dag(),
+            bindings(&difference_dag(), 1).remove(0),
+            Pin {
+                values: 0x4b15_ce2b_fa44_28a9,
+                cycles: 388,
+                energy_j: 1.183_299_871_372_123_2e-11,
+                trace_len: 781,
+                digest: 0xd99c_ed26_018a_2b9d,
             },
         ),
     ];
@@ -211,6 +237,18 @@ fn lane_batched_programs_match_their_pins() {
                 energy_j: 1.955_079_096_720_117_7e-8,
                 trace_len: 18441,
                 digest: 0xd1d0_f7a8_4b7b_ab92,
+            },
+        ),
+        (
+            "difference",
+            difference_dag(),
+            8,
+            Pin {
+                values: 0x9107_7dbc_9bf5_feaf,
+                cycles: 388,
+                energy_j: 4.044_398_970_976_852e-11,
+                trace_len: 826,
+                digest: 0x5b4a_29d5_d6e5_a783,
             },
         ),
     ];
