@@ -132,8 +132,34 @@ impl ApimConfig {
 
 impl Default for ApimConfig {
     fn default() -> Self {
-        ApimConfig {
-            device: Device::default(),
+        ApimConfigBuilder::new().assemble()
+    }
+}
+
+/// Builder for [`ApimConfig`]. It holds no device until
+/// [`ApimConfigBuilder::device`] gives one, so the paper's device is
+/// derived only when [`ApimConfigBuilder::build`] needs it.
+#[derive(Debug, Clone)]
+pub struct ApimConfigBuilder {
+    device: Option<Device>,
+    capacity_bytes: u64,
+    parallel_units: u32,
+    operand_bits: u32,
+    mode: PrecisionMode,
+    verify_microprograms: bool,
+}
+
+impl Default for ApimConfigBuilder {
+    fn default() -> Self {
+        ApimConfigBuilder::new()
+    }
+}
+
+impl ApimConfigBuilder {
+    /// Starts from the default configuration.
+    pub fn new() -> Self {
+        ApimConfigBuilder {
+            device: None,
             capacity_bytes: 8 << 30,
             parallel_units: 2048,
             operand_bits: 32,
@@ -141,57 +167,42 @@ impl Default for ApimConfig {
             verify_microprograms: false,
         }
     }
-}
-
-/// Builder for [`ApimConfig`].
-#[derive(Debug, Clone, Default)]
-pub struct ApimConfigBuilder {
-    config: ApimConfig,
-}
-
-impl ApimConfigBuilder {
-    /// Starts from the default configuration.
-    pub fn new() -> Self {
-        ApimConfigBuilder {
-            config: ApimConfig::default(),
-        }
-    }
 
     /// Sets the device (build one from other parameters with
     /// [`Device::new`]).
     pub fn device(mut self, device: Device) -> Self {
-        self.config.device = device;
+        self.device = Some(device);
         self
     }
 
     /// Sets the memory capacity in bytes.
     pub fn capacity_bytes(mut self, capacity: u64) -> Self {
-        self.config.capacity_bytes = capacity;
+        self.capacity_bytes = capacity;
         self
     }
 
     /// Sets the number of concurrently active processing-block pairs.
     pub fn parallel_units(mut self, units: u32) -> Self {
-        self.config.parallel_units = units;
+        self.parallel_units = units;
         self
     }
 
     /// Sets the operand width.
     pub fn operand_bits(mut self, bits: u32) -> Self {
-        self.config.operand_bits = bits;
+        self.operand_bits = bits;
         self
     }
 
     /// Sets the precision mode.
     pub fn mode(mut self, mode: PrecisionMode) -> Self {
-        self.config.mode = mode;
+        self.mode = mode;
         self
     }
 
     /// Enables or disables static microprogram verification at executor
     /// construction.
     pub fn verify_microprograms(mut self, verify: bool) -> Self {
-        self.config.verify_microprograms = verify;
+        self.verify_microprograms = verify;
         self
     }
 
@@ -201,8 +212,21 @@ impl ApimConfigBuilder {
     ///
     /// See [`ApimConfig::validate`].
     pub fn build(self) -> Result<ApimConfig, ArchError> {
-        self.config.validate()?;
-        Ok(self.config)
+        let config = self.assemble();
+        config.validate()?;
+        Ok(config)
+    }
+
+    /// The configuration as set, on the paper's device if none was given.
+    fn assemble(self) -> ApimConfig {
+        ApimConfig {
+            device: self.device.unwrap_or_default(),
+            capacity_bytes: self.capacity_bytes,
+            parallel_units: self.parallel_units,
+            operand_bits: self.operand_bits,
+            mode: self.mode,
+            verify_microprograms: self.verify_microprograms,
+        }
     }
 }
 

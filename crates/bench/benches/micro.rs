@@ -89,8 +89,10 @@ fn bench_cost_model(c: &mut Criterion) {
 }
 
 fn bench_engines(c: &mut Criterion) {
+    use apim_crossbar::{BlockedCrossbar, CrossbarConfig, RowAllocator};
+    use apim_logic::adder_serial::SerialScratch;
+    use apim_logic::lanes::{add_lanes, preload_lanes};
     use apim_logic::mac::CrossbarMac;
-    use apim_logic::vector::VectorUnit;
     let device = Device::default();
     let mut group = c.benchmark_group("engines");
     let mut mac = CrossbarMac::new(8, 4, &device).expect("mac");
@@ -103,20 +105,18 @@ fn bench_engines(c: &mut Criterion) {
             .expect("valid terms")
         });
     });
-    let mut vu = VectorUnit::new(16, 8, &device).expect("vector unit");
-    group.bench_function("vector_add_8x16bit", |b| {
+    let mut xbar = BlockedCrossbar::new(CrossbarConfig::new(device)).expect("crossbar");
+    let blk = xbar.block(1).expect("block");
+    let mut alloc = RowAllocator::new(xbar.rows());
+    alloc.alloc_many(3).expect("operand rows");
+    let scratch = SerialScratch::alloc(&mut alloc).expect("scratch rows");
+    let xs = [1, 300, 5000, 7, 9, 11, 13, 15];
+    let ys = [2, 4, 600, 65000, 10, 12, 14, 16];
+    group.bench_function("add_lanes_8x16bit", |b| {
         b.iter(|| {
-            vu.add(black_box(&[
-                (1, 2),
-                (300, 4),
-                (5000, 600),
-                (7, 65000),
-                (9, 10),
-                (11, 12),
-                (13, 14),
-                (15, 16),
-            ]))
-            .expect("within lanes")
+            preload_lanes(&mut xbar, blk, 0, 0, 16, 8, black_box(&xs)).expect("fits");
+            preload_lanes(&mut xbar, blk, 1, 0, 16, 8, black_box(&ys)).expect("fits");
+            add_lanes(&mut xbar, blk, 0, 1, 2, 0..16, 8, &scratch).expect("fits");
         });
     });
     group.finish();

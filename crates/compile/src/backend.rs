@@ -8,8 +8,9 @@
 //! plain word layout and the machine runs the serial program. Each DAG
 //! node is realized with the lane-generic netlists the hand-written
 //! kernels are built from (`add_lanes`, `sub_lanes`, the Wallace
-//! reduction, the MAC's shared-NOT partial-product generator, the §3.4
-//! `relaxed_final_add`), placed per the [`Placement`]'s row map.
+//! reduction, the multiplier's stage-1 `partial_products`, the §3.4
+//! `relaxed_final_add`), placed per the [`Placement`]'s row map. `Mul`
+//! and `Mac` share one arm: a multiply is the one-term MAC.
 //! Column-parallel MAGIC NOR costs one cycle however wide its span, so `L`
 //! lanes cost what one does.
 //!
@@ -36,9 +37,8 @@ use apim_crossbar::{
 };
 use apim_device::{Device, Joules};
 use apim_logic::adder_serial::SerialScratch;
-use apim_logic::functional::partial_product_shifts;
 use apim_logic::lanes::{add_lanes, preload_lanes, read_lanes, sub_lanes};
-use apim_logic::multiplier::relaxed_final_add;
+use apim_logic::multiplier::{partial_products, relaxed_final_add};
 use apim_logic::wallace::reduce_rows_to_two_lanes;
 use apim_logic::{CostModel, PrecisionMode};
 use apim_verify::{check_equiv, verify_trace, EquivReport, LintReport, OutputBinding};
@@ -49,8 +49,8 @@ use crate::expand::expand_math;
 use crate::ir::{Dag, Node, NodeId};
 use crate::lower::lower;
 use crate::plan::{
-    mul_copy_overhead, mul_multiplier, place, schedule, serial_copy_overhead, BlockSchedule,
-    Placement, Slot, ROW_AUX, ROW_RES, ROW_X, ROW_Y,
+    constant, mul_copy_overhead, place, product_terms, schedule, serial_copy_overhead,
+    BlockSchedule, Placement, Slot, ROW_AUX, ROW_RES, ROW_X, ROW_Y,
 };
 use crate::CompileError;
 
@@ -569,36 +569,31 @@ impl Machine<'_> {
                 Ok(2)
             }
             Node::Shr { x, amount } => self.shr(placement.slots[x.0], dest, *amount as usize),
-            Node::Mul { a, b, mode } => {
-                let (mcand, mult, _) = mul_multiplier(dag, *a, *b, *mode);
-                let mbits = self.multiplier(&dag.nodes()[mult.0], placement.slots[mult.0])?;
-                debug_assert_eq!(mbits, values[mult.0][0]);
-                let shifts = partial_product_shifts(mbits, mode.masked_multiplier_bits());
-                let count = self.place_pps(placement.slots[mcand.0], &shifts, 0)?;
-                self.finish_product(count, *mode, dest)?;
-                Ok(model.multiply_trunc_value(bits, mbits, *mode).cycles.get()
-                    + mul_copy_overhead(
-                        bits,
-                        count,
-                        mode.relaxed_product_bits(),
-                        placement.in_compute(id),
-                    ))
-            }
-            Node::Mac { terms, mode } => {
+            Node::Mul { .. } | Node::Mac { .. } => {
+                let (terms, mode) = product_terms(dag, node).expect("a product node");
+                let not = RowRef::new(self.blocks[1], self.not_row);
                 let mut count = 0usize;
                 let mut multipliers = Vec::with_capacity(terms.len());
-                for &(ta, tb) in terms {
-                    let mbits = self.multiplier(&dag.nodes()[tb.0], placement.slots[tb.0])?;
-                    debug_assert_eq!(mbits, values[tb.0][0]);
+                for (mcand, mult) in terms {
+                    let (a, b) = (placement.slots[mcand.0], placement.slots[mult.0]);
+                    let (mbits, pps) = partial_products(
+                        self.xbar,
+                        RowRef::new(self.blocks[a.block], a.row),
+                        RowRef::new(self.blocks[b.block], b.row),
+                        constant(dag, mult),
+                        not,
+                        RowRef::new(self.blocks[0], self.t0 + count),
+                        n,
+                        n,
+                        self.lanes,
+                        mode,
+                    )?;
+                    debug_assert_eq!(mbits, values[mult.0][0]);
                     multipliers.push(mbits);
-                    let shifts = partial_product_shifts(mbits, mode.masked_multiplier_bits());
-                    count += self.place_pps(placement.slots[ta.0], &shifts, count)?;
+                    count += pps;
                 }
-                self.finish_product(count, *mode, dest)?;
-                Ok(model
-                    .mac_group_value(bits, &multipliers, *mode)
-                    .cycles
-                    .get()
+                self.finish_product(count, mode, dest)?;
+                Ok(model.mac_group_value(bits, &multipliers, mode).cycles.get()
                     + mul_copy_overhead(
                         bits,
                         count,
@@ -660,62 +655,6 @@ impl Machine<'_> {
             )?;
         }
         Ok(3 + k as u64)
-    }
-
-    /// The multiplier word of `node`, homed at `slot`. One lane reads it
-    /// through the sense amplifier (free of cycles, like the hand-written
-    /// multiplier's bit scan); more lanes take the compile-time constant
-    /// batch legality guarantees.
-    fn multiplier(&mut self, node: &Node, slot: Slot) -> Result<u64, CompileError> {
-        if self.lanes > 1 {
-            let Node::Const { value } = *node else {
-                unreachable!("compile_batched admits only constant multipliers")
-            };
-            return Ok(value);
-        }
-        let mut bits = 0u64;
-        for col in 0..self.n {
-            bits |= u64::from(self.xbar.read_bit(self.blocks[slot.block], slot.row, col)?) << col;
-        }
-        Ok(bits)
-    }
-
-    /// Generates one multiplicand's truncated partial products into region
-    /// rows `t0 + pp_base ..` in every lane, sharing a single complement
-    /// NOR (`1 + shifts.len()` cycles; zero for an all-zero multiplier).
-    fn place_pps(
-        &mut self,
-        mcand: Slot,
-        shifts: &[u32],
-        pp_base: usize,
-    ) -> Result<usize, CompileError> {
-        if shifts.is_empty() {
-            return Ok(0);
-        }
-        let n = self.n;
-        let not = RowRef::new(self.blocks[1], self.not_row);
-        self.xbar
-            .init_rows(not.block, &[self.not_row], self.span(0, n))?;
-        self.xbar.nor_rows_shifted(
-            &[RowRef::new(self.blocks[mcand.block], mcand.row)],
-            not,
-            self.span(0, n),
-            0,
-        )?;
-        for (i, &shift) in shifts.iter().enumerate() {
-            let lo = shift as usize;
-            let row = self.t0 + pp_base + i;
-            self.zero(Slot { block: 0, row }, n + 2)?;
-            self.xbar
-                .init_rows(self.blocks[0], &[row], self.span(lo, n))?;
-            self.xbar.nor_rows_shifted(
-                &[not],
-                RowRef::new(self.blocks[0], row),
-                self.span(0, n - lo),
-                (lo * self.lanes) as isize,
-            )?;
-        }
-        Ok(shifts.len())
     }
 
     /// Turns a pile of `count` partial products (region rows `t0..`) into

@@ -101,25 +101,43 @@ pub fn mul_multiplier(
     }
 }
 
+/// The `(multiplicand, multiplier)` terms and mode of a product node: a
+/// `Mac`'s own terms, or a `Mul` as the one-term MAC whose multiplier
+/// [`mul_multiplier`] picks. `None` for every other node.
+pub(crate) fn product_terms(
+    dag: &Dag,
+    node: &Node,
+) -> Option<(Vec<(NodeId, NodeId)>, PrecisionMode)> {
+    match node {
+        Node::Mul { a, b, mode } => {
+            let (mcand, mult, _) = mul_multiplier(dag, *a, *b, *mode);
+            Some((vec![(mcand, mult)], *mode))
+        }
+        Node::Mac { terms, mode } => Some((terms.clone(), *mode)),
+        _ => None,
+    }
+}
+
+/// The compile-time value of a constant multiplier node.
+pub(crate) fn constant(dag: &Dag, id: NodeId) -> Option<u64> {
+    match dag.nodes()[id.0] {
+        Node::Const { value } => Some(value),
+        _ => None,
+    }
+}
+
 /// Worst-case partial-product rows node `i` can require.
 fn worst_pps(dag: &Dag, i: usize) -> usize {
-    let n = dag.width() as usize;
-    match &dag.nodes()[i] {
-        Node::Mul { a, b, mode } => match mul_multiplier(dag, *a, *b, *mode) {
-            (_, _, Some(c)) => partial_product_shifts(c, mode.masked_multiplier_bits()).len(),
-            _ => n,
-        },
-        Node::Mac { terms, mode } => terms
-            .iter()
-            .map(|&(_, b)| match dag.nodes()[b.0] {
-                Node::Const { value } => {
-                    partial_product_shifts(value, mode.masked_multiplier_bits()).len()
-                }
-                _ => n,
-            })
-            .sum(),
-        _ => 0,
-    }
+    let Some((terms, mode)) = product_terms(dag, &dag.nodes()[i]) else {
+        return 0;
+    };
+    terms
+        .iter()
+        .map(|&(_, b)| match constant(dag, b) {
+            Some(c) => partial_product_shifts(c, mode.masked_multiplier_bits()).len(),
+            None => dag.width() as usize,
+        })
+        .sum()
 }
 
 /// Places `dag` onto `config`, or fails with [`CompileError::AreaExceeded`].
@@ -342,33 +360,19 @@ pub fn estimate_node_cycles(dag: &Dag, placement: &Placement, model: &CostModel,
         }
         Node::Shl { .. } => 2,
         Node::Shr { amount, .. } => 2 + u64::from(*amount),
-        Node::Mul { a, b, mode } => {
-            let value = match mul_multiplier(dag, *a, *b, *mode) {
-                (_, _, Some(c)) => c,
-                _ => expected_density_multiplier(n, *mode),
-            };
-            let ones = partial_product_shifts(value, mode.masked_multiplier_bits()).len();
-            model.multiply_trunc_value(n, value, *mode).cycles.get()
-                + mul_copy_overhead(
-                    n,
-                    ones,
-                    mode.relaxed_product_bits(),
-                    placement.in_compute(id),
-                )
-        }
-        Node::Mac { terms, mode } => {
+        node @ (Node::Mul { .. } | Node::Mac { .. }) => {
+            let (terms, mode) = product_terms(dag, node).expect("a product node");
             let values: Vec<u64> = terms
                 .iter()
-                .map(|&(_, b)| match dag.nodes()[b.0] {
-                    Node::Const { value } => value,
-                    _ => expected_density_multiplier(n, *mode),
+                .map(|&(_, b)| {
+                    constant(dag, b).unwrap_or_else(|| expected_density_multiplier(n, mode))
                 })
                 .collect();
             let ones: usize = values
                 .iter()
                 .map(|&v| partial_product_shifts(v, mode.masked_multiplier_bits()).len())
                 .sum();
-            model.mac_group_value(n, &values, *mode).cycles.get()
+            model.mac_group_value(n, &values, mode).cycles.get()
                 + mul_copy_overhead(
                     n,
                     ones,

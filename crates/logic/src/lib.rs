@@ -72,7 +72,6 @@ pub mod model;
 pub mod multiplier;
 pub mod spec;
 pub mod subtractor;
-pub mod vector;
 pub mod wallace;
 
 mod precision;

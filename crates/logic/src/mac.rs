@@ -11,15 +11,18 @@
 //!
 //! Products are truncated `n`-bit C `int` semantics; the accumulation wraps
 //! modulo `2^n` exactly like the kernels it models.
+//!
+//! The unit holds no pipeline code of its own: it runs the multiplier's
+//! product body (stage 1 is [`crate::multiplier::partial_products`]) over
+//! `k` terms, where a truncated multiply is the one-term case.
 
 use apim_crossbar::{Backend, BlockedCrossbar, CrossbarConfig, CrossbarError, Result, Stats};
 use apim_device::Device;
 
 use crate::adder_csa::CSA_SCRATCH_ROWS;
 use crate::functional::partial_product_shifts;
-use crate::multiplier::final_product;
+use crate::multiplier::product;
 use crate::precision::PrecisionMode;
-use crate::wallace::reduce_rows_to_two_lanes;
 
 /// Outcome of one fused MAC evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,7 +131,6 @@ impl CrossbarMac {
     /// Returns [`CrossbarError::InvalidConfig`] if there are more terms
     /// than budgeted, operands exceed `n` bits, or the mode is invalid.
     pub fn mac(&mut self, terms: &[(u64, u64)], mode: PrecisionMode) -> Result<MacRun> {
-        let n = self.n as usize;
         if terms.len() > self.max_terms {
             return Err(CrossbarError::InvalidConfig(format!(
                 "{} terms exceed the budget of {}",
@@ -136,79 +138,11 @@ impl CrossbarMac {
                 self.max_terms
             )));
         }
-        for &(a, b) in terms {
-            if self.n < 64 && (a >> self.n != 0 || b >> self.n != 0) {
-                return Err(CrossbarError::InvalidConfig(format!(
-                    "operands must fit in {n} bits"
-                )));
-            }
-        }
-        mode.validate(self.n)
-            .map_err(|e| CrossbarError::InvalidConfig(e.to_string()))?;
-
-        let data = self.xbar.block(0)?;
-        let p0 = self.xbar.block(1)?;
-        let p1 = self.xbar.block(2)?;
-        let w = n;
-
-        // Resident data: term i occupies data rows 2i (multiplicand) and
-        // 2i + 1 (multiplier); loading happens before the compute snapshot,
-        // as in the multiplier.
-        for (i, &(a, b)) in terms.iter().enumerate() {
-            self.xbar.preload_u64(data, 2 * i, 0, n, a)?;
-            self.xbar.preload_u64(data, 2 * i + 1, 0, n, b)?;
-        }
-        let snapshot = *self.xbar.stats();
-        let mut pp_rows = 0usize;
-        let not_row = self.xbar.rows() - 1;
-        for (t, _) in terms.iter().enumerate() {
-            let mut bits = 0u64;
-            for i in 0..n {
-                bits |= u64::from(self.xbar.read_bit(data, 2 * t + 1, i)?) << i;
-            }
-            let shifts = partial_product_shifts(bits, mode.masked_multiplier_bits());
-            if shifts.is_empty() {
-                continue;
-            }
-            // Shared first NOT for this term's copies.
-            self.xbar.init_rows(p0, &[not_row], 0..n)?;
-            self.xbar.nor_rows_shifted(
-                &[apim_crossbar::RowRef::new(data, 2 * t)],
-                apim_crossbar::RowRef::new(p0, not_row),
-                0..n,
-                0,
-            )?;
-            for &shift in &shifts {
-                let lo = shift as usize;
-                let hi = (lo + n).min(w);
-                self.xbar.preload_zeros(p1, pp_rows, 0, w + 2)?;
-                self.xbar.init_rows(p1, &[pp_rows], lo..hi)?;
-                self.xbar.nor_rows_shifted(
-                    &[apim_crossbar::RowRef::new(p0, not_row)],
-                    apim_crossbar::RowRef::new(p1, pp_rows),
-                    0..hi - lo,
-                    shift as isize,
-                )?;
-                pp_rows += 1;
-            }
-        }
-
-        let value = match pp_rows {
-            0 => 0,
-            1 => self.xbar.peek_u64(p1, 0, 0, w)?,
-            _ => {
-                let (block, survivors) =
-                    reduce_rows_to_two_lanes(&mut self.xbar, p1, p0, pp_rows, 0..w, 1, 0)?;
-                debug_assert_eq!(survivors, 2);
-                let other = if block == p0 { p1 } else { p0 };
-                let m = (mode.relaxed_product_bits() as usize).min(w);
-                // A w ≤ 64-bit sum: the cast is lossless.
-                final_product(&mut self.xbar, block, other, w, m, 0)? as u64
-            }
-        };
+        let run = product(&mut self.xbar, self.n, terms, self.n as usize, 0, mode)?;
         Ok(MacRun {
-            value,
-            stats: *self.xbar.stats() - snapshot,
+            // A w ≤ 64-bit sum: the cast is lossless.
+            value: run.product as u64,
+            stats: run.stats,
         })
     }
 }

@@ -285,14 +285,9 @@ impl CostModel {
     /// identical partial-product and reduction stages, but the final
     /// product generation only produces the low `n` bits, so the paper's
     /// maximum approximation — 32 relax bits — relaxes the *entire* final
-    /// stage.
+    /// stage. A one-term [`CostModel::mac_group`].
     pub fn multiply_trunc_with_ones(&self, n: u32, ones: u32, mode: PrecisionMode) -> OpCost {
-        let mut cost = self.partial_products(n, ones);
-        if ones >= 2 {
-            cost += self.tree_reduce(ones, n, n + 2);
-            cost += self.final_add_width(n, mode.relaxed_product_bits().min(n));
-        }
-        cost
+        self.mac_group(1, n, ones, mode)
     }
 
     /// Expected truncated-multiplication cost on random data (half the
@@ -306,16 +301,10 @@ impl CostModel {
     /// value: partial products whose windows are clipped at bit `n` cost
     /// proportionally less, so this is cheaper (and more precise) than the
     /// conservative [`CostModel::multiply_trunc_with_ones`] estimate. This
-    /// is the formula the gate-level simulator is validated against.
+    /// is the formula the gate-level simulator is validated against: a
+    /// one-term [`CostModel::mac_group_value`].
     pub fn multiply_trunc_value(&self, n: u32, multiplier: u64, mode: PrecisionMode) -> OpCost {
-        let shifts = partial_product_shifts(multiplier, mode.masked_multiplier_bits());
-        let ones = shifts.len() as u32;
-        let mut cost = self.partial_products_trunc(n, &shifts);
-        if ones >= 2 {
-            cost += self.tree_reduce(ones, n, n + 2);
-            cost += self.final_add_width(n, mode.relaxed_product_bits().min(n));
-        }
-        cost
+        self.mac_group_value(n, &[multiplier], mode)
     }
 
     /// Exact cost of a fused MAC over *known* multiplier values (the

@@ -5,12 +5,12 @@
 //! blocks per data block)" of §3.3, so resident data is never disturbed by
 //! logic execution:
 //!
-//! 1. **Partial-product generation** — the multiplier is read bit-wise
-//!    through the sense amplifiers; for every `1` bit the multiplicand is
-//!    copied into the second processing block, *pre-shifted* by the
-//!    configurable interconnect. The first NOT of the copy pair is computed
-//!    once and reused, so the stage costs `ones + 1` cycles (worst case
-//!    `N + 1`).
+//! 1. **Partial-product generation** — [`partial_products`]: the
+//!    multiplier is read bit-wise through the sense amplifiers; for every
+//!    `1` bit the multiplicand is copied into the second processing block,
+//!    *pre-shifted* by the configurable interconnect. The first NOT of the
+//!    copy pair is computed once and reused, so the stage costs `ones + 1`
+//!    cycles (worst case `N + 1`).
 //! 2. **Fast reduction** — [`crate::wallace::reduce_rows_to_two_lanes`]
 //!    brings the partial products down to two operands in `13 · stages`
 //!    cycles.
@@ -24,6 +24,12 @@
 //! truncated `N`-bit product of C `int` semantics
 //! ([`CrossbarMultiplier::multiply_trunc`]), where the paper's maximum
 //! approximation — 32 relax bits — spans the whole final stage.
+//!
+//! The pipeline is written once. A multiply is a one-term fused MAC: the
+//! multiplier and [`crate::mac::CrossbarMac`] share one private product
+//! body, and [`partial_products`] and [`relaxed_final_add`] are also the
+//! stage-1 and §3.4 bodies of the compiler's `Mul`/`Mac` nodes, at any
+//! lane count.
 //!
 //! Produced values are bit-identical to [`crate::functional::multiply`] /
 //! [`crate::functional::multiply_trunc`] for every mode, and the charged
@@ -213,99 +219,169 @@ impl CrossbarMultiplier {
 
     fn run_pipeline(&mut self, a: u64, b: u64, mode: PrecisionMode, w: usize) -> Result<MulRun> {
         self.epoch = self.epoch.wrapping_add(1);
-        let n = self.n as usize;
-        if self.n < 64 && (a >> self.n != 0 || b >> self.n != 0) {
-            return Err(CrossbarError::InvalidConfig(format!(
-                "operands must fit in {n} bits"
-            )));
-        }
-        mode.validate(self.n)
-            .map_err(|e| CrossbarError::InvalidConfig(e.to_string()))?;
-
-        let data = self.xbar.block(0)?;
-        let p0 = self.xbar.block(1)?;
-        let p1 = self.xbar.block(2)?;
-
-        // Resident data (outside the compute accounting).
-        self.xbar.preload_u64(data, 0, 0, n, a)?;
-        self.xbar.preload_u64(data, 1, 0, n, b)?;
-        let snapshot = *self.xbar.stats();
-        let mut breakdown = StageBreakdown::default();
-
-        // ---- Stage 1: partial products through the sense amplifiers ----
-        let mut multiplier_bits = 0u64;
-        for i in 0..n {
-            let bit = self.xbar.read_bit(data, 1, i)?;
-            multiplier_bits |= u64::from(bit) << i;
-        }
-        let shifts = partial_product_shifts(multiplier_bits, mode.masked_multiplier_bits());
-        let ones = shifts.len();
-        if ones == 0 {
-            breakdown.partial_products = *self.xbar.stats() - snapshot;
-            return Ok(MulRun {
-                product: 0,
-                stats: *self.xbar.stats() - snapshot,
-                breakdown,
-            });
-        }
         // Wear leveling: rotate the whole working region through the slots.
         let base = (self.epoch % self.level_slots) * Self::region_rows(self.n);
-
-        // Shared first NOT of the multiplicand (reused by every copy).
-        let not_row = self.xbar.rows() - 1;
-        self.xbar.init_rows(p0, &[not_row], 0..n)?;
-        self.xbar
-            .nor_rows_shifted(&[RowRef::new(data, 0)], RowRef::new(p0, not_row), 0..n, 0)?;
-        for (row, &shift) in shifts.iter().enumerate() {
-            // Fresh operand row: clear the full product window.
-            self.xbar.preload_zeros(p1, base + row, 0, w + 2)?;
-            let lo = shift as usize;
-            let hi = (lo + n).min(w);
-            self.xbar.init_rows(p1, &[base + row], lo..hi)?;
-            self.xbar.nor_rows_shifted(
-                &[RowRef::new(p0, not_row)],
-                RowRef::new(p1, base + row),
-                0..hi - lo,
-                shift as isize,
-            )?;
-        }
-        breakdown.partial_products = *self.xbar.stats() - snapshot;
-        if ones == 1 {
-            let product = peek_wide(&self.xbar, p1, base, 0, w)?;
-            return Ok(MulRun {
-                product,
-                stats: *self.xbar.stats() - snapshot,
-                breakdown,
-            });
-        }
-
-        // ---- Stage 2: Wallace reduction, toggling between the blocks ----
-        let before_tree = *self.xbar.stats();
-        let (block, survivors) =
-            reduce_rows_to_two_lanes(&mut self.xbar, p1, p0, ones, 0..w, 1, base)?;
-        debug_assert_eq!(survivors, 2);
-        let other = if block == p0 { p1 } else { p0 };
-        breakdown.reduction = *self.xbar.stats() - before_tree;
-
-        // ---- Stage 3: final product generation (§3.4) ----
-        let before_final = *self.xbar.stats();
-        let m = (mode.relaxed_product_bits() as usize).min(w);
-        let product = final_product(&mut self.xbar, block, other, w, m, base)?;
-        breakdown.final_stage = *self.xbar.stats() - before_final;
-        Ok(MulRun {
-            product,
-            stats: *self.xbar.stats() - snapshot,
-            breakdown,
-        })
+        product(&mut self.xbar, self.n, &[(a, b)], w, base, mode)
     }
+}
+
+/// Stage 1 of every product (§3.3), the one body behind
+/// [`CrossbarMultiplier`], [`crate::mac::CrossbarMac`] and compiled
+/// `Mul`/`Mac` nodes: the `n`-bit multiplier word in row `mult` is read
+/// through the sense amplifiers (free of cycles), the multiplicand in row
+/// `mcand` is complemented once into row `not`, and for every set bit
+/// left after `mode`'s masking a zeroed row `first.row + i` receives the
+/// multiplicand, shifted by that bit's position through the interconnect
+/// and clipped at the `w`-bit product window — `1 + ones` cycles, none for
+/// an all-zero multiplier.
+///
+/// Columns are logical, scaled by `lanes` as in [`crate::lanes`]. A sense
+/// read steers control, so at two or more lanes the caller must pass the
+/// multiplier as `known` (a compile-time constant); at one lane `known`
+/// is ignored.
+///
+/// Returns the multiplier word and the number of rows written.
+///
+/// # Errors
+///
+/// Rejects a multiplier that is neither sensed (one lane) nor known;
+/// propagates crossbar errors.
+#[allow(clippy::too_many_arguments)] // one parameter per row of the layout
+pub fn partial_products(
+    xbar: &mut BlockedCrossbar,
+    mcand: RowRef,
+    mult: RowRef,
+    known: Option<u64>,
+    not: RowRef,
+    first: RowRef,
+    n: usize,
+    w: usize,
+    lanes: usize,
+    mode: PrecisionMode,
+) -> Result<(u64, usize)> {
+    let bits = match (lanes, known) {
+        (1, _) => {
+            let mut bits = 0u64;
+            for i in 0..n {
+                bits |= u64::from(xbar.read_bit(mult.block, mult.row, i)?) << i;
+            }
+            bits
+        }
+        (_, Some(bits)) => bits,
+        (_, None) => {
+            return Err(CrossbarError::InvalidConfig(format!(
+                "a {lanes}-lane product needs its multiplier known, not sensed"
+            )))
+        }
+    };
+    let shifts = partial_product_shifts(bits, mode.masked_multiplier_bits());
+    if shifts.is_empty() {
+        return Ok((bits, 0));
+    }
+    // Shared first NOT of the multiplicand (reused by every copy).
+    xbar.init_rows(not.block, &[not.row], 0..n * lanes)?;
+    xbar.nor_rows_shifted(&[mcand], not, 0..n * lanes, 0)?;
+    for (i, &shift) in shifts.iter().enumerate() {
+        let row = first.row + i;
+        // Fresh operand row: clear the full product window.
+        xbar.preload_zeros(first.block, row, 0, (w + 2) * lanes)?;
+        let lo = shift as usize;
+        let hi = (lo + n).min(w);
+        xbar.init_rows(first.block, &[row], lo * lanes..hi * lanes)?;
+        xbar.nor_rows_shifted(
+            &[not],
+            RowRef::new(first.block, row),
+            0..(hi - lo) * lanes,
+            (lo * lanes) as isize,
+        )?;
+    }
+    Ok((bits, shifts.len()))
+}
+
+/// The whole pipeline on a unit's three blocks, over `terms` resident in
+/// data rows `2i` (multiplicand) and `2i + 1` (multiplier): stage 1 of
+/// every term into rows `base..` of the second processing block, one
+/// Wallace tree over the pile and one final add, all within the `w`-bit
+/// window. A multiply is the one-term case.
+pub(crate) fn product(
+    xbar: &mut BlockedCrossbar,
+    n: u32,
+    terms: &[(u64, u64)],
+    w: usize,
+    base: usize,
+    mode: PrecisionMode,
+) -> Result<MulRun> {
+    let nn = n as usize;
+    if n < 64 && terms.iter().any(|&(a, b)| a >> n != 0 || b >> n != 0) {
+        return Err(CrossbarError::InvalidConfig(format!(
+            "operands must fit in {n} bits"
+        )));
+    }
+    mode.validate(n)
+        .map_err(|e| CrossbarError::InvalidConfig(e.to_string()))?;
+
+    let data = xbar.block(0)?;
+    let p0 = xbar.block(1)?;
+    let p1 = xbar.block(2)?;
+
+    // Resident data (outside the compute accounting).
+    for (i, &(a, b)) in terms.iter().enumerate() {
+        xbar.preload_u64(data, 2 * i, 0, nn, a)?;
+        xbar.preload_u64(data, 2 * i + 1, 0, nn, b)?;
+    }
+    let snapshot = *xbar.stats();
+    let mut breakdown = StageBreakdown::default();
+
+    // ---- Stage 1: partial products through the sense amplifiers ----
+    let not = RowRef::new(p0, xbar.rows() - 1);
+    let mut ones = 0usize;
+    for i in 0..terms.len() {
+        ones += partial_products(
+            xbar,
+            RowRef::new(data, 2 * i),
+            RowRef::new(data, 2 * i + 1),
+            None,
+            not,
+            RowRef::new(p1, base + ones),
+            nn,
+            w,
+            1,
+            mode,
+        )?
+        .1;
+    }
+    breakdown.partial_products = *xbar.stats() - snapshot;
+    let product = match ones {
+        0 => 0,
+        1 => peek_wide(xbar, p1, base, 0, w)?,
+        _ => {
+            // ---- Stage 2: Wallace reduction, toggling between the blocks ----
+            let before_tree = *xbar.stats();
+            let (block, survivors) = reduce_rows_to_two_lanes(xbar, p1, p0, ones, 0..w, 1, base)?;
+            debug_assert_eq!(survivors, 2);
+            let other = if block == p0 { p1 } else { p0 };
+            breakdown.reduction = *xbar.stats() - before_tree;
+
+            // ---- Stage 3: final product generation (§3.4) ----
+            let before_final = *xbar.stats();
+            let m = (mode.relaxed_product_bits() as usize).min(w);
+            let product = final_product(xbar, block, other, w, m, base)?;
+            breakdown.final_stage = *xbar.stats() - before_final;
+            product
+        }
+    };
+    Ok(MulRun {
+        product,
+        stats: *xbar.stats() - snapshot,
+        breakdown,
+    })
 }
 
 /// Final two-operand addition of rows `base`/`base + 1` of `block` with
 /// `m` relaxed LSBs; returns the `w`-bit result. The rest of the region
 /// above the operands hosts the result row, the MAJ-carry row and the
-/// serial scratch; the relaxed bits land in row `base` of `other`. Shared
-/// by the multiplier and the fused MAC.
-pub(crate) fn final_product(
+/// serial scratch; the relaxed bits land in row `base` of `other`.
+fn final_product(
     xbar: &mut BlockedCrossbar,
     block: BlockId,
     other: BlockId,

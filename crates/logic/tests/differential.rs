@@ -3,11 +3,12 @@
 //! must produce identical values, cycle/energy statistics, wear counters
 //! and final cell state at widths 8/16/32/64.
 
-use apim_crossbar::{Backend, BlockedCrossbar, CrossbarConfig};
+use apim_crossbar::{Backend, BlockedCrossbar, CrossbarConfig, RowAllocator};
 use apim_device::Device;
+use apim_logic::adder_serial::SerialScratch;
+use apim_logic::lanes::{add_lanes, preload_lanes, read_lanes};
 use apim_logic::mac::CrossbarMac;
 use apim_logic::multiplier::CrossbarMultiplier;
-use apim_logic::vector::VectorUnit;
 use apim_logic::{divider, subtractor, PrecisionMode};
 use proptest::prelude::*;
 
@@ -100,22 +101,26 @@ proptest! {
     }
 
     #[test]
-    fn vector_add_is_backend_independent(pairs in proptest::collection::vec((0u64.., 0u64..), 1..5)) {
-        let device = Device::default();
+    fn add_lanes_is_backend_independent(pairs in proptest::collection::vec((0u64.., 0u64..), 1..5)) {
+        let lanes = pairs.len();
         for n in WIDTHS {
-            let n = n as u32;
             let mask = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-            let pairs: Vec<(u64, u64)> =
-                pairs.iter().map(|&(a, b)| (a & mask, b & mask)).collect();
-            let mut packed =
-                VectorUnit::with_backend(n, pairs.len(), &device, Backend::Packed).unwrap();
-            let mut scalar =
-                VectorUnit::with_backend(n, pairs.len(), &device, Backend::Scalar).unwrap();
-            let rp = packed.add(&pairs).unwrap();
-            let rs = scalar.add(&pairs).unwrap();
-            prop_assert_eq!(rp.values, rs.values, "n={}", n);
-            prop_assert_eq!(rp.stats, rs.stats);
-            assert_same(packed.crossbar(), scalar.crossbar(), "vector add");
+            let xs: Vec<u64> = pairs.iter().map(|&(a, _)| a & mask).collect();
+            let ys: Vec<u64> = pairs.iter().map(|&(_, b)| b & mask).collect();
+            let (mut packed, mut scalar) = standalone_pair(15, (n + 1) * lanes);
+            let mut sums = Vec::new();
+            for xbar in [&mut packed, &mut scalar] {
+                let blk = xbar.block(1).unwrap();
+                preload_lanes(xbar, blk, 0, 0, n, lanes, &xs).unwrap();
+                preload_lanes(xbar, blk, 1, 0, n, lanes, &ys).unwrap();
+                let mut alloc = RowAllocator::new(xbar.rows());
+                alloc.alloc_many(3).unwrap();
+                let scratch = SerialScratch::alloc(&mut alloc).unwrap();
+                add_lanes(xbar, blk, 0, 1, 2, 0..n, lanes, &scratch).unwrap();
+                sums.push(read_lanes(xbar, blk, 2, 0, n, lanes).unwrap());
+            }
+            prop_assert_eq!(&sums[0], &sums[1], "n={}", n);
+            assert_same(&packed, &scalar, "add_lanes");
         }
     }
 

@@ -188,16 +188,29 @@ proptest! {
     }
 
     #[test]
-    fn gate_level_vector_add_matches_native(
+    fn gate_level_add_lanes_matches_native(
         pairs in proptest::collection::vec((0u64..65536, 0u64..65536), 1..6)
     ) {
-        use apim_logic::vector::VectorUnit;
-        let mut vu = VectorUnit::new(16, 6, &Device::default()).unwrap();
-        let run = vu.add(&pairs).unwrap();
-        for (got, &(a, b)) in run.values.iter().zip(&pairs) {
+        use apim_crossbar::{BlockedCrossbar, CrossbarConfig, RowAllocator};
+        use apim_logic::adder_serial::SerialScratch;
+        use apim_logic::lanes::{add_lanes, preload_lanes, read_lanes};
+        let lanes = pairs.len();
+        let xs: Vec<u64> = pairs.iter().map(|&(a, _)| a).collect();
+        let ys: Vec<u64> = pairs.iter().map(|&(_, b)| b).collect();
+        let mut xbar = BlockedCrossbar::new(CrossbarConfig::default()).unwrap();
+        let blk = xbar.block(1).unwrap();
+        preload_lanes(&mut xbar, blk, 0, 0, 16, lanes, &xs).unwrap();
+        preload_lanes(&mut xbar, blk, 1, 0, 16, lanes, &ys).unwrap();
+        let mut alloc = RowAllocator::new(xbar.rows());
+        alloc.alloc_many(3).unwrap();
+        let scratch = SerialScratch::alloc(&mut alloc).unwrap();
+        let before = *xbar.stats();
+        add_lanes(&mut xbar, blk, 0, 1, 2, 0..16, lanes, &scratch).unwrap();
+        let sums = read_lanes(&xbar, blk, 2, 0, 16, lanes).unwrap();
+        for (got, &(a, b)) in sums.iter().zip(&pairs) {
             prop_assert_eq!(*got, (a + b) & 0xFFFF);
         }
-        prop_assert_eq!(run.stats.cycles.get(), 12 * 16 + 1);
+        prop_assert_eq!((*xbar.stats() - before).cycles.get(), 12 * 16 + 1);
     }
 
     #[test]

@@ -155,7 +155,9 @@ fn record_gates(width: u32) -> Result<RecordedKernel> {
 /// The serial ripple adder over `width` bits: `12N + 1` cycles.
 fn record_serial_adder(width: u32) -> Result<RecordedKernel> {
     let n = width as usize;
-    let mut xbar = BlockedCrossbar::new(CrossbarConfig::default())?;
+    let device = Device::default();
+    let model = CostModel::new(&device);
+    let mut xbar = BlockedCrossbar::new(CrossbarConfig::new(device))?;
     let blk = xbar.block(1)?;
     let mut alloc = RowAllocator::with_tracing(xbar.rows());
     let rows = alloc.alloc_many(3)?; // x, y, out
@@ -167,7 +169,6 @@ fn record_serial_adder(width: u32) -> Result<RecordedKernel> {
     let trace = xbar.stop_recording();
     scratch.release(&mut alloc)?;
     alloc.free_many(rows)?;
-    let model = CostModel::new(&Device::default());
     Ok(RecordedKernel {
         trace,
         events: alloc.take_events(),
@@ -243,11 +244,12 @@ fn record_wallace(width: u32) -> Result<RecordedKernel> {
 fn record_multiplier(width: u32) -> Result<RecordedKernel> {
     let a = 0x9E37_79B9 & mask(width);
     let b = 0x6A09_E667 & mask(width);
-    let mut mul = CrossbarMultiplier::new(width, &Device::default())?;
+    let device = Device::default();
+    let mut mul = CrossbarMultiplier::new(width, &device)?;
     mul.crossbar_mut().start_recording();
     mul.multiply(a, b, PrecisionMode::Exact)?;
     let trace = mul.crossbar_mut().stop_recording();
-    let model = CostModel::new(&Device::default());
+    let model = CostModel::new(&device);
     Ok(RecordedKernel {
         trace,
         events: Vec::new(),
@@ -264,11 +266,12 @@ fn record_mac(width: u32) -> Result<RecordedKernel> {
         (0x0000_00B7 & m, 0x0000_0091 & m),
         (0x0000_0D05 & m, 0x0000_0036 & m),
     ];
-    let mut mac = CrossbarMac::new(width, 4, &Device::default())?;
+    let device = Device::default();
+    let mut mac = CrossbarMac::new(width, 4, &device)?;
     mac.crossbar_mut().start_recording();
     mac.mac(&terms, PrecisionMode::Exact)?;
     let trace = mac.crossbar_mut().stop_recording();
-    let model = CostModel::new(&Device::default());
+    let model = CostModel::new(&device);
     let multipliers: Vec<u64> = terms.iter().map(|&(_, b)| b).collect();
     Ok(RecordedKernel {
         trace,

@@ -8,9 +8,12 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
+use apim_arch::ApimConfig;
 use apim_compile::{compile, compile_batched, CompileOptions};
 use apim_device::energy::derivations;
+use apim_device::{Device, DeviceParams};
 use apim_serve::{JobKind, JobOutput, Pool, PoolConfig, Request};
+use apim_verify::{record_kernel, Kernel};
 use apim_workloads::dags::sharpen_dag;
 
 static COUNTING: Mutex<()> = Mutex::new(());
@@ -84,4 +87,28 @@ fn a_pool_serving_compile_jobs_derives_no_more_than_once_per_worker() {
     assert_eq!(derived, 1);
     // Input `a` is bound to 1.
     assert_eq!(answers, (2..102).collect::<Vec<u64>>());
+}
+
+#[test]
+fn a_config_built_on_a_custom_device_derives_only_that_device() {
+    let (derived, config) = derived_during(|| {
+        let custom = Device::new(DeviceParams {
+            cycle_ns: 2.2,
+            ..DeviceParams::default()
+        })
+        .unwrap();
+        ApimConfig::builder().device(custom).build().unwrap()
+    });
+    assert_eq!(derived, 1, "the builder derives no default device");
+    assert!((config.device.params().cycle_ns - 2.2).abs() < 1e-12);
+}
+
+#[test]
+fn recording_the_mac_kernel_derives_the_device_once() {
+    let (derived, recorded) = derived_during(|| record_kernel(Kernel::Mac, 16).unwrap());
+    assert_eq!(
+        derived, 1,
+        "one device shared by the unit and its cost model"
+    );
+    assert!(!recorded.trace.ops.is_empty());
 }

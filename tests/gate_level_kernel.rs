@@ -8,6 +8,7 @@
 
 use apim::{Device, PrecisionMode};
 use apim_logic::mac::{mac_trunc_functional, CrossbarMac};
+use apim_logic::multiplier::CrossbarMultiplier;
 use apim_logic::CostModel;
 
 /// 3-tap causal convolution weights (non-dyadic, so approximation bites).
@@ -107,4 +108,38 @@ fn relaxed_kernel_output_stays_close() {
         max_err = max_err.max(exact.abs_diff(relaxed));
     }
     assert!(max_err < 16, "4 relax bits bound the error: {max_err}");
+}
+
+#[test]
+fn one_term_mac_is_the_truncated_multiply() {
+    let device = Device::default();
+    for n in [8u32, 16, 32] {
+        let mask = (1u64 << n) - 1;
+        let pairs = [
+            (0x9E37_79B9 & mask, 0x6A09_E667 & mask),
+            (mask, mask),
+            (0xC3 & mask, 1 << (n - 1)),
+            (0x5A & mask, 0),
+        ];
+        for mode in [
+            PrecisionMode::Exact,
+            PrecisionMode::FirstStage { masked_bits: 2 },
+            PrecisionMode::LastStage { relax_bits: 4 },
+        ] {
+            let mut mac = CrossbarMac::new(n, 1, &device).unwrap();
+            let mut mul = CrossbarMultiplier::new(n, &device).unwrap();
+            for (a, b) in pairs {
+                let fused = mac.mac(&[(a, b)], mode).unwrap();
+                let single = mul.multiply_trunc(a, b, mode).unwrap();
+                let what = format!("{a:#x} * {b:#x} at {n} bits, {mode}");
+                assert_eq!(u128::from(fused.value), single.product, "{what}");
+                assert_eq!(fused.stats.cycles, single.stats.cycles, "{what}");
+                assert_eq!(
+                    fused.stats.energy.as_joules().to_bits(),
+                    single.stats.energy.as_joules().to_bits(),
+                    "{what}"
+                );
+            }
+        }
+    }
 }
